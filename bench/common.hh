@@ -8,12 +8,16 @@
 #ifndef IOCOST_BENCH_COMMON_HH
 #define IOCOST_BENCH_COMMON_HH
 
+#include <climits>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "sim/parse.hh"
 #include "sim/time.hh"
 
 namespace iocost::bench {
@@ -32,9 +36,11 @@ namespace iocost::bench {
  *                    addition to the timed run
  *   --max-hosts N    cap the largest scaling step (perf_fleet)
  *
- * Unknown flags are ignored so wrappers can pass extras through.
- * Layout knobs (jobs/shards/faults) report to stderr so stdout
- * stays diffable across layouts.
+ * An unknown flag, a flag missing its value, or a value that is not
+ * a number ends the bench with exit status 2 before it runs: a typo
+ * such as "--check-alloc" must not fall through to the default mode
+ * (which rewrites BENCH_*.json). Layout knobs (jobs/shards/faults)
+ * report to stderr so stdout stays diffable across layouts.
  */
 struct BenchArgs
 {
@@ -50,25 +56,45 @@ parseArgs(int argc, char **argv)
 {
     BenchArgs args;
     for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        const char *val = i + 1 < argc ? argv[i + 1] : "";
-        if (std::strcmp(arg, "--jobs") == 0) {
-            args.jobs = static_cast<unsigned>(
-                std::strtoul(val, nullptr, 10));
-            ++i;
-        } else if (std::strcmp(arg, "--shards") == 0) {
-            args.shards = static_cast<unsigned>(
-                std::strtoul(val, nullptr, 10));
-            ++i;
-        } else if (std::strcmp(arg, "--faults") == 0) {
-            args.faults = val;
-            ++i;
-        } else if (std::strcmp(arg, "--max-hosts") == 0) {
-            args.maxHosts = std::strtoull(val, nullptr, 10);
-            ++i;
-        } else if (std::strcmp(arg, "--check-allocs") == 0) {
+        const std::string arg = argv[i];
+        if (arg == "--check-allocs") {
             args.checkAllocs = true;
+            continue;
         }
+        if (arg != "--jobs" && arg != "--shards" && arg != "--faults" &&
+            arg != "--max-hosts") {
+            std::fprintf(stderr,
+                         "%s: unknown flag %s (known: --jobs N, "
+                         "--shards N, --faults SPEC, --check-allocs, "
+                         "--max-hosts N)\n",
+                         argv[0], arg.c_str());
+            std::exit(2);
+        }
+        if (i + 1 >= argc) {
+            std::fprintf(stderr, "%s: %s needs a value\n", argv[0],
+                         arg.c_str());
+            std::exit(2);
+        }
+        const std::string val = argv[++i];
+        if (arg == "--faults") {
+            args.faults = val;
+            continue;
+        }
+        uint64_t n = 0;
+        try {
+            n = sim::parseCount(val, arg, arg == "--max-hosts"
+                                              ? UINT64_MAX
+                                              : UINT_MAX);
+        } catch (const std::invalid_argument &err) {
+            std::fprintf(stderr, "%s: %s\n", argv[0], err.what());
+            std::exit(2);
+        }
+        if (arg == "--jobs")
+            args.jobs = static_cast<unsigned>(n);
+        else if (arg == "--shards")
+            args.shards = static_cast<unsigned>(n);
+        else
+            args.maxHosts = n;
     }
     std::fprintf(stderr, "jobs=%u%s\n", args.jobs,
                  args.jobs == 0 ? " (auto)" : "");

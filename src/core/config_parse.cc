@@ -2,7 +2,10 @@
 
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
+
+#include "sim/parse.hh"
 
 namespace iocost::core {
 
@@ -34,12 +37,12 @@ configKeyValue(const std::string &tok, std::string &key,
 bool
 configPositiveNumber(const std::string &s, double &out)
 {
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (end == nullptr || *end != '\0' || !(v > 0))
+    try {
+        out = sim::parseNumber(s, "");
+    } catch (const std::invalid_argument &) {
         return false;
-    out = v;
-    return true;
+    }
+    return out > 0;
 }
 
 namespace {

@@ -3,11 +3,14 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 #include "controllers/factory.hh"
 #include "device/device_profiles.hh"
+#include "host/device_factory.hh"
 #include "sim/fault.hh"
+#include "sim/parse.hh"
 
 namespace iocost::fleet {
 
@@ -43,113 +46,35 @@ unitDraw(uint64_t seed, uint64_t salt, unsigned host)
     return static_cast<double>(r >> 11) * 0x1.0p-53;
 }
 
-uint64_t
-parseU64(const std::string &token, const std::string &text)
+/** The grammar's name for @p token in value errors. */
+std::string
+tokenName(const std::string &token)
 {
-    if (text.empty())
-        bad(token, "empty value");
-    size_t pos = 0;
-    uint64_t v = 0;
-    try {
-        v = std::stoull(text, &pos);
-    } catch (const std::exception &) {
-        bad(token, "unparsable number \"" + text + "\"");
-    }
-    if (pos != text.size())
-        bad(token, "trailing junk after \"" + text + "\"");
-    return v;
+    return "scenario: bad token \"" + token + "\"";
+}
+
+unsigned
+parseUnsigned(const std::string &token, const std::string &text)
+{
+    return static_cast<unsigned>(
+        sim::parseCount(text, tokenName(token),
+                        std::numeric_limits<unsigned>::max()));
 }
 
 double
 parseShare(const std::string &token, const std::string &text)
 {
-    if (text.empty())
-        bad(token, "empty share");
-    size_t pos = 0;
-    double v = 0.0;
-    try {
-        v = std::stod(text, &pos);
-    } catch (const std::exception &) {
-        bad(token, "unparsable share \"" + text + "\"");
-    }
-    if (pos != text.size())
-        bad(token, "trailing junk after \"" + text + "\"");
+    const double v = sim::parseNumber(text, tokenName(token));
     if (v <= 0.0)
         bad(token, "share must be > 0");
     return v;
 }
 
-/** Non-negative time with optional ns/us/ms/s suffix (default ms). */
-sim::Time
-parseTimeValue(const std::string &token, const std::string &text)
-{
-    if (text.empty())
-        bad(token, "empty time value");
-    size_t pos = 0;
-    double value = 0.0;
-    try {
-        value = std::stod(text, &pos);
-    } catch (const std::exception &) {
-        bad(token, "unparsable time \"" + text + "\"");
-    }
-    if (value < 0.0)
-        bad(token, "negative time \"" + text + "\"");
-    const std::string unit = text.substr(pos);
-    double scale = 0.0;
-    if (unit.empty() || unit == "ms")
-        scale = static_cast<double>(sim::kMsec);
-    else if (unit == "ns")
-        scale = static_cast<double>(sim::kNsec);
-    else if (unit == "us")
-        scale = static_cast<double>(sim::kUsec);
-    else if (unit == "s")
-        scale = static_cast<double>(sim::kSec);
-    else
-        bad(token, "unknown time unit \"" + unit + "\"");
-    return static_cast<sim::Time>(value * scale);
-}
-
-/** Byte count with optional K/M/G suffix (binary). */
-uint64_t
-parseBytes(const std::string &token, const std::string &text)
-{
-    if (text.empty())
-        bad(token, "empty byte value");
-    size_t pos = 0;
-    double value = 0.0;
-    try {
-        value = std::stod(text, &pos);
-    } catch (const std::exception &) {
-        bad(token, "unparsable bytes \"" + text + "\"");
-    }
-    if (value < 0.0)
-        bad(token, "negative bytes \"" + text + "\"");
-    const std::string unit = text.substr(pos);
-    double scale = 1.0;
-    if (unit.empty())
-        scale = 1.0;
-    else if (unit == "K" || unit == "k")
-        scale = 1024.0;
-    else if (unit == "M" || unit == "m")
-        scale = 1024.0 * 1024.0;
-    else if (unit == "G" || unit == "g")
-        scale = 1024.0 * 1024.0 * 1024.0;
-    else
-        bad(token, "unknown byte unit \"" + unit + "\"");
-    return static_cast<uint64_t>(value * scale);
-}
-
 device::SsdSpec
 deviceByName(const std::string &token, const std::string &name)
 {
-    if (name.size() == 1 && name[0] >= 'A' && name[0] <= 'H')
-        return device::fleetSsd(name[0]);
-    if (name == "oldgen")
-        return device::oldGenSsd();
-    if (name == "newgen")
-        return device::newGenSsd();
-    if (name == "enterprise")
-        return device::enterpriseSsd();
+    if (const auto spec = host::namedSsd(name))
+        return *spec;
     bad(token, "unknown device \"" + name +
                    "\" (A..H, oldgen, newgen, enterprise)");
 }
@@ -306,15 +231,13 @@ FleetScenario::parse(const std::string &spec)
         const std::string value = token.substr(eq + 1);
 
         if (key == "hosts") {
-            sc.hosts =
-                static_cast<unsigned>(parseU64(token, value));
+            sc.hosts = parseUnsigned(token, value);
         } else if (key == "days") {
-            sc.days = static_cast<unsigned>(parseU64(token, value));
+            sc.days = parseUnsigned(token, value);
         } else if (key == "seed") {
-            sc.seed = parseU64(token, value);
+            sc.seed = sim::parseCount(value, tokenName(token));
         } else if (key == "shards") {
-            sc.shards =
-                static_cast<unsigned>(parseU64(token, value));
+            sc.shards = parseUnsigned(token, value);
         } else if (key == "migration") {
             for (const std::string &part :
                  splitList(token, value)) {
@@ -323,14 +246,14 @@ FleetScenario::parse(const std::string &spec)
                     bad(token, "expected START..END[:PCT]");
                 const size_t colon = part.find(':', dots + 2);
                 MigrationStage st;
-                st.startDay = static_cast<unsigned>(
-                    parseU64(token, part.substr(0, dots)));
+                st.startDay =
+                    parseUnsigned(token, part.substr(0, dots));
                 const size_t end_len =
                     (colon == std::string::npos ? part.size()
                                                 : colon) -
                     (dots + 2);
-                st.endDay = static_cast<unsigned>(parseU64(
-                    token, part.substr(dots + 2, end_len)));
+                st.endDay = parseUnsigned(
+                    token, part.substr(dots + 2, end_len));
                 if (st.endDay < st.startDay)
                     bad(token, "stage end before start");
                 st.fraction =
@@ -384,23 +307,25 @@ FleetScenario::parse(const std::string &spec)
                                    "\"");
             }
         } else if (key == "slice") {
-            sc.slice = parseTimeValue(token, value);
+            sc.slice = sim::parseTime(value, tokenName(token));
         } else if (key == "warmup") {
-            sc.warmup = parseTimeValue(token, value);
+            sc.warmup = sim::parseTime(value, tokenName(token));
         } else if (key == "fetch") {
-            sc.fetchBytes = parseBytes(token, value);
+            sc.fetchBytes = sim::parseBytes(value, tokenName(token));
         } else if (key == "fetch_deadline") {
-            sc.fetchDeadline = parseTimeValue(token, value);
+            sc.fetchDeadline = sim::parseTime(value, tokenName(token));
         } else if (key == "cleanup") {
-            sc.cleanupOps =
-                static_cast<unsigned>(parseU64(token, value));
+            sc.cleanupOps = parseUnsigned(token, value);
         } else if (key == "cleanup_io") {
-            sc.cleanupIoBytes = static_cast<uint32_t>(
-                parseBytes(token, value));
+            const uint64_t bytes =
+                sim::parseBytes(value, tokenName(token));
+            if (bytes > std::numeric_limits<uint32_t>::max())
+                bad(token, "cleanup_io must fit 32 bits");
+            sc.cleanupIoBytes = static_cast<uint32_t>(bytes);
         } else if (key == "cleanup_deadline") {
-            sc.cleanupDeadline = parseTimeValue(token, value);
+            sc.cleanupDeadline = sim::parseTime(value, tokenName(token));
         } else if (key == "pagecache") {
-            sc.pagecacheBytes = parseBytes(token, value);
+            sc.pagecacheBytes = sim::parseBytes(value, tokenName(token));
         } else if (key == "dirty_ratio") {
             sc.dirtyRatioPct = parseShare(token, value);
             if (sc.dirtyRatioPct > 100.0)

@@ -1,42 +1,21 @@
 #include "host/config.hh"
 
-#include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
+
+#include "sim/parse.hh"
 
 namespace iocost::host {
 
 std::optional<uint64_t>
 parseSize(const std::string &text)
 {
-    if (text.empty())
+    try {
+        return sim::parseBytes(text, "size");
+    } catch (const std::invalid_argument &) {
         return std::nullopt;
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || v < 0)
-        return std::nullopt;
-    uint64_t mult = 1;
-    if (*end != '\0') {
-        switch (*end) {
-          case 'K':
-          case 'k':
-            mult = 1ull << 10;
-            break;
-          case 'M':
-          case 'm':
-            mult = 1ull << 20;
-            break;
-          case 'G':
-          case 'g':
-            mult = 1ull << 30;
-            break;
-          default:
-            return std::nullopt;
-        }
-        if (*(end + 1) != '\0')
-            return std::nullopt;
     }
-    return static_cast<uint64_t>(v * static_cast<double>(mult));
 }
 
 namespace {
@@ -114,61 +93,41 @@ applyConfig(Host &host, const std::string &config)
         std::string setting;
         bool any = false;
         while (in >> setting) {
-            const auto eq = setting.find('=');
-            if (eq == std::string::npos) {
-                result.error = "line " + std::to_string(line_no) +
-                               ": expected key=value, got '" +
-                               setting + "'";
+            auto fail = [&](const std::string &why) {
+                result.error =
+                    "line " + std::to_string(line_no) + ": " + why;
                 return result;
-            }
+            };
+            const auto eq = setting.find('=');
+            if (eq == std::string::npos)
+                return fail("expected key=value, got '" + setting +
+                            "'");
             const std::string key = setting.substr(0, eq);
             const std::string value = setting.substr(eq + 1);
+            const auto size = parseSize(value);
             if (key == "io.weight") {
-                const auto weight = parseSize(value);
-                if (!weight || *weight == 0 ||
-                    *weight > 10000) {
-                    result.error =
-                        "line " + std::to_string(line_no) +
-                        ": bad io.weight '" + value + "'";
-                    return result;
-                }
-                host.tree().setWeight(
-                    cg, static_cast<uint32_t>(*weight));
+                if (!size || *size == 0 || *size > 10000)
+                    return fail("bad io.weight '" + value + "'");
+                host.tree().setWeight(cg,
+                                      static_cast<uint32_t>(*size));
             } else if (key == "memory.low") {
-                const auto bytes = parseSize(value);
-                if (!bytes) {
-                    result.error =
-                        "line " + std::to_string(line_no) +
-                        ": bad memory.low '" + value + "'";
-                    return result;
-                }
-                if (!host.hasMemory()) {
-                    result.error =
-                        "line " + std::to_string(line_no) +
-                        ": memory.low requires enableMemory";
-                    return result;
-                }
-                host.mm().setProtection(cg, *bytes);
+                if (!size)
+                    return fail("bad memory.low '" + value + "'");
+                if (!host.hasMemory())
+                    return fail("memory.low requires enableMemory");
+                host.mm().setProtection(cg, *size);
             } else if (key == "memory.dirty_limit") {
-                const auto bytes = parseSize(value);
-                if (!bytes) {
-                    result.error =
-                        "line " + std::to_string(line_no) +
-                        ": bad memory.dirty_limit '" + value + "'";
-                    return result;
+                if (!size) {
+                    return fail("bad memory.dirty_limit '" + value +
+                                "'");
                 }
                 if (!host.hasPageCache()) {
-                    result.error =
-                        "line " + std::to_string(line_no) +
-                        ": memory.dirty_limit requires "
-                        "enablePageCache";
-                    return result;
+                    return fail("memory.dirty_limit requires "
+                                "enablePageCache");
                 }
-                host.pageCache().setDirtyLimit(cg, *bytes);
+                host.pageCache().setDirtyLimit(cg, *size);
             } else {
-                result.error = "line " + std::to_string(line_no) +
-                               ": unknown key '" + key + "'";
-                return result;
+                return fail("unknown key '" + key + "'");
             }
             any = true;
         }

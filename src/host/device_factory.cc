@@ -13,20 +13,6 @@ namespace iocost::host {
 
 namespace {
 
-std::optional<device::SsdSpec>
-ssdByName(const std::string &name)
-{
-    if (name.size() == 1 && name[0] >= 'A' && name[0] <= 'H')
-        return device::fleetSsd(name[0]);
-    if (name == "oldgen")
-        return device::oldGenSsd();
-    if (name == "newgen")
-        return device::newGenSsd();
-    if (name == "enterprise")
-        return device::enterpriseSsd();
-    return std::nullopt;
-}
-
 std::optional<device::RemoteSpec>
 remoteByName(const std::string &name)
 {
@@ -52,11 +38,25 @@ unknownDevice(const std::string &name)
 
 } // namespace
 
+std::optional<device::SsdSpec>
+namedSsd(const std::string &name)
+{
+    if (name.size() == 1 && name[0] >= 'A' && name[0] <= 'H')
+        return device::fleetSsd(name[0]);
+    if (name == "oldgen")
+        return device::oldGenSsd();
+    if (name == "newgen")
+        return device::newGenSsd();
+    if (name == "enterprise")
+        return device::enterpriseSsd();
+    return std::nullopt;
+}
+
 std::unique_ptr<blk::BlockDevice>
 makeNamedDevice(const std::string &name, sim::Simulator &sim,
                 core::LinearModelConfig *model_out)
 {
-    if (const auto ssd = ssdByName(name)) {
+    if (const auto ssd = namedSsd(name)) {
         if (model_out) {
             *model_out =
                 profile::DeviceProfiler::profileSsd(*ssd).model;
@@ -86,7 +86,7 @@ void
 applyDeviceProfile(blk::BlockDevice &dev, const std::string &profile)
 {
     if (auto *ssd = dynamic_cast<device::SsdModel *>(&dev)) {
-        if (const auto spec = ssdByName(profile)) {
+        if (const auto spec = namedSsd(profile)) {
             ssd->setSpec(*spec);
             return;
         }
@@ -113,7 +113,7 @@ applyDeviceProfile(blk::BlockDevice &dev, const std::string &profile)
             rm->setSpec(*spec);
             return;
         }
-        if (profile == "hdd" || ssdByName(profile)) {
+        if (profile == "hdd" || namedSsd(profile)) {
             throw std::invalid_argument(
                 "device profile \"" + profile +
                 "\" is not a cloud volume; a live device can only "

@@ -12,10 +12,12 @@
 #define IOCOST_HOST_DEVICE_FACTORY_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "blk/block_device.hh"
 #include "core/cost_model.hh"
+#include "device/ssd_model.hh"
 #include "sim/simulator.hh"
 
 namespace iocost::host {
@@ -36,6 +38,10 @@ namespace iocost::host {
 std::unique_ptr<blk::BlockDevice>
 makeNamedDevice(const std::string &name, sim::Simulator &sim,
                 core::LinearModelConfig *model_out = nullptr);
+
+/** The SSD a device name stands for ("oldgen", "newgen",
+ *  "enterprise", "A".."H"), or nullopt for any other name. */
+std::optional<device::SsdSpec> namedSsd(const std::string &name);
 
 /**
  * Swap a live device's spec to the named profile, in place (the

@@ -1,9 +1,9 @@
 #include "sim/fault.hh"
 
-#include <cctype>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
+
+#include "sim/parse.hh"
 
 namespace iocost::sim {
 
@@ -32,51 +32,11 @@ bad(const std::string &token, const std::string &why)
                                 "\": " + why);
 }
 
-/** Parse a non-negative number with an optional time suffix. */
-Time
-parseTime(const std::string &token, const std::string &text)
+/** The grammar's name for @p token in value errors. */
+std::string
+tokenName(const std::string &token)
 {
-    if (text.empty())
-        bad(token, "empty time value");
-    size_t pos = 0;
-    double value = 0.0;
-    try {
-        value = std::stod(text, &pos);
-    } catch (const std::exception &) {
-        bad(token, "unparsable time \"" + text + "\"");
-    }
-    if (value < 0.0)
-        bad(token, "negative time \"" + text + "\"");
-    const std::string unit = text.substr(pos);
-    double scale = 0.0;
-    if (unit.empty() || unit == "ms")
-        scale = static_cast<double>(kMsec);
-    else if (unit == "ns")
-        scale = static_cast<double>(kNsec);
-    else if (unit == "us")
-        scale = static_cast<double>(kUsec);
-    else if (unit == "s")
-        scale = static_cast<double>(kSec);
-    else
-        bad(token, "unknown time unit \"" + unit + "\"");
-    return static_cast<Time>(value * scale);
-}
-
-double
-parseNumber(const std::string &token, const std::string &text)
-{
-    if (text.empty())
-        bad(token, "empty value");
-    size_t pos = 0;
-    double value = 0.0;
-    try {
-        value = std::stod(text, &pos);
-    } catch (const std::exception &) {
-        bad(token, "unparsable value \"" + text + "\"");
-    }
-    if (pos != text.size())
-        bad(token, "trailing junk after \"" + text + "\"");
-    return value;
+    return "faults: bad token \"" + token + "\"";
 }
 
 /** Parse "KIND@START+DUR[=PARAM]" into a FaultWindow. */
@@ -91,10 +51,11 @@ parseWindow(const std::string &token, FaultKind kind,
 
     FaultWindow w;
     w.kind = kind;
-    w.start = parseTime(token, rest.substr(0, plus));
+    w.start = parseTime(rest.substr(0, plus), tokenName(token));
     const size_t dur_end =
         (eq == std::string::npos ? rest.size() : eq) - (plus + 1);
-    w.duration = parseTime(token, rest.substr(plus + 1, dur_end));
+    w.duration =
+        parseTime(rest.substr(plus + 1, dur_end), tokenName(token));
     if (w.duration <= 0)
         bad(token, "window duration must be positive");
 
@@ -103,7 +64,7 @@ parseWindow(const std::string &token, FaultKind kind,
     if (wants_param) {
         if (eq == std::string::npos)
             bad(token, "expected '=<value>'");
-        w.param = parseNumber(token, rest.substr(eq + 1));
+        w.param = parseNumber(rest.substr(eq + 1), tokenName(token));
         if (kind == FaultKind::LatencyMult && w.param <= 0.0)
             bad(token, "latency multiplier must be > 0");
         if (kind == FaultKind::ErrorRate &&
@@ -159,21 +120,22 @@ FaultPlan::parse(const std::string &spec)
         const std::string key = token.substr(0, eq);
         const std::string value = token.substr(eq + 1);
         if (key == "seed") {
-            const double n = parseNumber(token, value);
-            if (n < 0.0)
-                bad(token, "seed must be non-negative");
+            const double n = parseNumber(value, tokenName(token));
+            if (n < 0.0 || n >= 0x1p64)
+                bad(token, "seed must be in [0, 2^64)");
             plan.seed = static_cast<uint64_t>(n);
         } else if (key == "retries") {
-            const double n = parseNumber(token, value);
+            const double n = parseNumber(value, tokenName(token));
             if (n < 0.0 || n > 32.0)
                 bad(token, "retries must be in [0, 32]");
             plan.maxRetries = static_cast<unsigned>(n);
         } else if (key == "backoff") {
-            plan.retryBackoffBase = parseTime(token, value);
+            plan.retryBackoffBase =
+                parseTime(value, tokenName(token));
             if (plan.retryBackoffBase <= 0)
                 bad(token, "backoff must be positive");
         } else if (key == "timeout") {
-            plan.bioTimeout = parseTime(token, value);
+            plan.bioTimeout = parseTime(value, tokenName(token));
         } else {
             bad(token, "unknown key \"" + key + "\"");
         }

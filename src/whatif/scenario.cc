@@ -1,9 +1,11 @@
 #include "whatif/scenario.hh"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
+#include <sstream>
 #include <stdexcept>
+
+#include "sim/parse.hh"
 
 namespace iocost::whatif {
 
@@ -15,154 +17,29 @@ bad(const std::string &what)
     throw std::invalid_argument("whatif scenario: " + what);
 }
 
-std::string
-trim(const std::string &s)
-{
-    size_t b = s.find_first_not_of(" \t\r\n");
-    if (b == std::string::npos)
-        return "";
-    size_t e = s.find_last_not_of(" \t\r\n");
-    return s.substr(b, e - b + 1);
-}
-
-/** Non-negative time with optional ns/us/ms/s suffix (default ms —
- *  the fleet-scenario convention). */
-sim::Time
-parseTimeValue(const std::string &text)
-{
-    if (text.empty())
-        bad("empty time value");
-    size_t pos = 0;
-    double value = 0.0;
-    try {
-        value = std::stod(text, &pos);
-    } catch (const std::exception &) {
-        bad("unparsable time \"" + text + "\"");
-    }
-    if (value < 0.0)
-        bad("negative time \"" + text + "\"");
-    const std::string unit = text.substr(pos);
-    double scale = 0.0;
-    if (unit.empty() || unit == "ms")
-        scale = static_cast<double>(sim::kMsec);
-    else if (unit == "ns")
-        scale = static_cast<double>(sim::kNsec);
-    else if (unit == "us")
-        scale = static_cast<double>(sim::kUsec);
-    else if (unit == "s")
-        scale = static_cast<double>(sim::kSec);
-    else
-        bad("unknown time unit \"" + unit + "\"");
-    return static_cast<sim::Time>(value * scale);
-}
-
-/** Non-negative byte size with optional K/M/G suffix. */
-uint64_t
-parseBytesValue(const std::string &text)
-{
-    if (text.empty())
-        bad("empty size value");
-    size_t pos = 0;
-    double value = 0.0;
-    try {
-        value = std::stod(text, &pos);
-    } catch (const std::exception &) {
-        bad("unparsable size \"" + text + "\"");
-    }
-    if (value < 0.0)
-        bad("negative size \"" + text + "\"");
-    const std::string unit = text.substr(pos);
-    double mult = 1.0;
-    if (unit == "K" || unit == "k")
-        mult = 1ull << 10;
-    else if (unit == "M" || unit == "m")
-        mult = 1ull << 20;
-    else if (unit == "G" || unit == "g")
-        mult = 1ull << 30;
-    else if (!unit.empty())
-        bad("unknown size suffix \"" + unit + "\"");
-    return static_cast<uint64_t>(value * mult);
-}
-
 } // namespace
-
-sim::Time
-Scenario::duration() const
-{
-    return static_cast<sim::Time>(seconds *
-                                  static_cast<double>(sim::kSec));
-}
 
 Scenario
 Scenario::parse(const std::string &text)
 {
     Scenario sc;
-    size_t pos = 0;
-    while (pos <= text.size()) {
-        size_t sep = text.find_first_of(";\n", pos);
-        if (sep == std::string::npos)
-            sep = text.size();
-        const std::string entry = trim(text.substr(pos, sep - pos));
-        pos = sep + 1;
-        if (entry.empty())
-            continue;
-        const size_t eq = entry.find('=');
-        if (eq == std::string::npos)
-            bad("expected key=value, got \"" + entry + "\"");
-        const std::string key = trim(entry.substr(0, eq));
-        const std::string value = trim(entry.substr(eq + 1));
-        if (key == "device") {
-            sc.device = value;
-        } else if (key == "controller") {
-            sc.controller = value;
-        } else if (key == "model") {
-            sc.model = value;
-        } else if (key == "qos") {
-            sc.qos = value;
-        } else if (key == "faults") {
-            sc.faults = value;
-        } else if (key == "seconds") {
-            try {
-                sc.seconds = std::stod(value);
-            } catch (const std::exception &) {
-                bad("unparsable seconds \"" + value + "\"");
-            }
-        } else if (key == "seed") {
-            try {
-                sc.seed = std::stoull(value);
-            } catch (const std::exception &) {
-                bad("unparsable seed \"" + value + "\"");
-            }
-        } else if (key == "pagecache") {
-            sc.pagecacheBytes = parseBytesValue(value);
-        } else if (key == "dirty_ratio") {
-            try {
-                sc.dirtyRatioPct = std::stod(value);
-            } catch (const std::exception &) {
-                bad("unparsable dirty_ratio \"" + value + "\"");
-            }
-            if (sc.dirtyRatioPct < 0.0 || sc.dirtyRatioPct > 100.0)
-                bad("dirty_ratio must be in [0, 100]");
-        } else if (key == "job") {
-            if (value.empty())
-                bad("empty job spec");
-            sc.jobs.push_back(value);
-        } else if (key == "marks") {
-            size_t mp = 0;
-            while (mp <= value.size()) {
-                size_t comma = value.find(',', mp);
-                if (comma == std::string::npos)
-                    comma = value.size();
-                const std::string tok =
-                    trim(value.substr(mp, comma - mp));
-                mp = comma + 1;
-                if (!tok.empty())
-                    sc.marks.push_back(parseTimeValue(tok));
-            }
-        } else {
-            bad("unknown key \"" + key + "\"");
+    forEachEntry(text, [&sc](const std::string &key,
+                             const std::string &value) {
+        if (key != "marks") {
+            if (!sc.set(key, value, "whatif scenario: " + key))
+                bad("unknown key \"" + key + "\"");
+            return;
         }
-    }
+        std::istringstream list(value);
+        for (std::string tok; std::getline(list, tok, ',');) {
+            tok.erase(0, tok.find_first_not_of(" \t\r"));
+            tok.erase(tok.find_last_not_of(" \t\r") + 1);
+            if (!tok.empty()) {
+                sc.marks.push_back(
+                    sim::parseTime(tok, "whatif scenario: marks"));
+            }
+        }
+    });
     sc.normalize();
     return sc;
 }
@@ -170,12 +47,7 @@ Scenario::parse(const std::string &text)
 void
 Scenario::normalize()
 {
-    if (seconds <= 0.0)
-        bad("seconds must be > 0");
-    if (jobs.empty()) {
-        jobs.push_back("web:weight=200:depth=32");
-        jobs.push_back("batch:weight=100:depth=32");
-    }
+    ScenarioSpec::normalize();
     const sim::Time total = duration();
     if (marks.empty()) {
         // Quarter points: a query's replay never spans more than a
@@ -193,32 +65,8 @@ Scenario::normalize()
 std::string
 Scenario::canonical() const
 {
-    std::string out;
-    out += "device=" + device;
-    out += ";controller=" + controller;
-    out += ";model=" + model;
-    out += ";qos=" + qos;
-    out += ";faults=" + faults;
-    char buf[64];
-    std::snprintf(buf, sizeof buf, ";seconds=%.17g", seconds);
-    out += buf;
-    std::snprintf(buf, sizeof buf, ";seed=%" PRIu64, seed);
-    out += buf;
-    // Emitted only when set: pre-pagecache canonical strings (and
-    // the cache hashes derived from them) must not change.
-    if (pagecacheBytes != 0) {
-        std::snprintf(buf, sizeof buf, ";pagecache=%" PRIu64,
-                      pagecacheBytes);
-        out += buf;
-    }
-    if (dirtyRatioPct != 0.0) {
-        std::snprintf(buf, sizeof buf, ";dirty_ratio=%.17g",
-                      dirtyRatioPct);
-        out += buf;
-    }
-    for (const std::string &job : jobs)
-        out += ";job=" + job;
-    out += ";marks=";
+    std::string out = ScenarioSpec::canonical() + ";marks=";
+    char buf[32];
     for (size_t i = 0; i < marks.size(); ++i) {
         std::snprintf(buf, sizeof buf, "%s%lld", i ? "," : "",
                       static_cast<long long>(marks[i]));

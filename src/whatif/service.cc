@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "core/config_parse.hh"
 #include "host/device_factory.hh"
 #include "sim/fault.hh"
 
@@ -17,85 +16,6 @@ namespace {
 bad(const std::string &what)
 {
     throw std::invalid_argument("whatif: " + what);
-}
-
-struct ParsedJob
-{
-    std::string name;
-    uint32_t weight = 100;
-    workload::FioConfig fio;
-    /** Route through the page cache instead of the block layer. */
-    bool buffered = false;
-    uint32_t fsyncEvery = 0;
-    uint64_t spanBytes = 0;
-};
-
-/** "name:key=value:..." — the iocost_sim --job grammar, throwing
- *  instead of exiting on errors so a bad scenario fails the query,
- *  not the service. */
-ParsedJob
-parseJobSpec(const std::string &arg)
-{
-    ParsedJob job;
-    job.name = "job";
-    size_t pos = 0;
-    bool first = true;
-    while (pos <= arg.size()) {
-        const size_t colon = arg.find(':', pos);
-        const std::string part =
-            arg.substr(pos, colon == std::string::npos
-                                ? std::string::npos
-                                : colon - pos);
-        if (first) {
-            job.name = part;
-            first = false;
-        } else {
-            const size_t eq = part.find('=');
-            if (eq == std::string::npos)
-                bad("bad job attribute \"" + part + "\"");
-            const std::string key = part.substr(0, eq);
-            const std::string value = part.substr(eq + 1);
-            try {
-                if (key == "weight") {
-                    job.weight =
-                        static_cast<uint32_t>(std::stoul(value));
-                } else if (key == "depth") {
-                    job.fio.iodepth =
-                        static_cast<unsigned>(std::stoul(value));
-                } else if (key == "bs") {
-                    job.fio.blockSize =
-                        static_cast<uint32_t>(std::stoul(value));
-                } else if (key == "rw") {
-                    job.fio.readFraction = value == "read"    ? 1.0
-                                           : value == "write" ? 0.0
-                                                              : 0.5;
-                } else if (key == "pattern") {
-                    job.fio.randomFraction =
-                        value == "seq" ? 0.0 : 1.0;
-                } else if (key == "rate") {
-                    job.fio.arrival = workload::Arrival::Rate;
-                    job.fio.ratePerSec = std::stod(value);
-                } else if (key == "buffered") {
-                    job.buffered = std::stoul(value) != 0;
-                } else if (key == "fsync") {
-                    job.fsyncEvery =
-                        static_cast<uint32_t>(std::stoul(value));
-                } else if (key == "span") {
-                    job.spanBytes = std::stoull(value);
-                } else {
-                    bad("unknown job key \"" + key + "\"");
-                }
-            } catch (const std::invalid_argument &) {
-                throw;
-            } catch (const std::exception &) {
-                bad("unparsable job value \"" + value + "\"");
-            }
-        }
-        if (colon == std::string::npos)
-            break;
-        pos = colon + 1;
-    }
-    return job;
 }
 
 std::string
@@ -204,10 +124,8 @@ Replica::Replica(const Scenario &sc, BuildOnly)
 }
 
 Replica::Replica(const Scenario &sc, bool checkpoints)
-    : sc_(sc), sim_(sc.seed)
+    : Replica(sc, BuildOnly{})
 {
-    sc_.normalize();
-    build();
     if (checkpoints) {
         for (sim::Time mark : sc_.marks) {
             if (mark > 0)
@@ -222,96 +140,16 @@ Replica::Replica(const Scenario &sc, bool checkpoints)
 void
 Replica::build()
 {
-    auto device =
-        host::makeNamedDevice(sc_.device, sim_, &deviceModel_);
-
-    const auto spec =
-        controllers::parseControllerSpec(sc_.controller);
-    if (!spec)
-        bad("bad controller spec \"" + sc_.controller + "\"");
-
-    core::LinearModelConfig model = deviceModel_;
-    if (!sc_.model.empty()) {
-        const auto parsed = core::parseModelLine(sc_.model);
-        if (!parsed)
-            bad("bad model line \"" + sc_.model + "\"");
-        model = *parsed;
-    }
-
     host::HostOptions opts;
-    opts.controller = *spec;
-    opts.faults = sc_.faults;
     // Inject-fault queries must find an injector on healthy
     // scenarios too, and it must exist before the baseline runs:
     // snapshots restore state, not structure.
     opts.installFaultInjector = true;
-    // Same defaulting as iocost_sim: the device profile and the
-    // scenario's qos line fill whatever the spec line leaves out.
-    const std::string spec_rest =
-        controllers::iocostPayload(sc_.controller);
-    if (!core::parseModelLine(spec_rest)) {
-        opts.controller.iocost.model =
-            core::CostModel::fromConfig(model);
-    }
-    if (!core::parseQosLine(spec_rest)) {
-        opts.controller.iocost.qos.vrateMin = 0.5;
-        opts.controller.iocost.qos.vrateMax = 1.0;
-    }
-    if (!sc_.qos.empty()) {
-        const auto parsed = core::parseQosLine(sc_.qos);
-        if (!parsed)
-            bad("bad qos line \"" + sc_.qos + "\"");
-        opts.controller.iocost.qos = *parsed;
-    }
-    if (sc_.pagecacheBytes != 0) {
-        opts.enablePageCache = true;
-        opts.pageCacheConfig.cacheBytes = sc_.pagecacheBytes;
-        if (sc_.dirtyRatioPct > 0.0) {
-            opts.pageCacheConfig.dirtyRatio =
-                sc_.dirtyRatioPct / 100.0;
-            opts.pageCacheConfig.dirtyBackgroundRatio =
-                sc_.dirtyRatioPct / 200.0;
-        }
-    }
-
-    host_ = std::make_unique<host::Host>(sim_, std::move(device),
-                                         opts);
-
-    for (size_t j = 0; j < sc_.jobs.size(); ++j) {
-        ParsedJob job = parseJobSpec(sc_.jobs[j]);
-        // Disjoint regions, as iocost_sim lays jobs out.
-        job.fio.offsetBase = j << 40;
-        const auto cg = host_->addWorkload(job.name, job.weight);
+    built_ = sc_.buildHost(sim_, opts);
+    host_ = built_.host.get();
+    for (const host::JobSpec &job : built_.jobs)
         jobNames_.push_back(job.name);
-        jobCgs_.push_back(cg);
-        if (job.buffered) {
-            if (sc_.pagecacheBytes == 0) {
-                bad("buffered job \"" + job.name +
-                    "\" requires pagecache=");
-            }
-            workload::BufferedConfig bc;
-            bc.name = job.name;
-            bc.readFraction = job.fio.readFraction;
-            bc.randomFraction = job.fio.randomFraction;
-            bc.blockSize = job.fio.blockSize;
-            bc.offsetBase = job.fio.offsetBase;
-            bc.fsyncEvery = job.fsyncEvery;
-            bc.depth = job.fio.iodepth;
-            if (job.spanBytes != 0)
-                bc.spanBytes = job.spanBytes;
-            buffered_.push_back(
-                std::make_unique<workload::BufferedWorkload>(
-                    sim_, host_->pageCache(), cg, bc));
-            host_->track(*buffered_.back());
-            buffered_.back()->start();
-        } else {
-            workloads_.push_back(
-                std::make_unique<workload::FioWorkload>(
-                    sim_, host_->layer(), cg, job.fio));
-            host_->track(*workloads_.back());
-            workloads_.back()->start();
-        }
-    }
+    jobCgs_ = built_.cgroups;
 }
 
 size_t

@@ -36,10 +36,9 @@
 #include <vector>
 
 #include "host/host.hh"
+#include "host/scenario_spec.hh"
 #include "whatif/query.hh"
 #include "whatif/scenario.hh"
-#include "workload/buffered_io.hh"
-#include "workload/fio_workload.hh"
 
 namespace iocost::whatif {
 
@@ -119,13 +118,11 @@ class Replica
 
     Scenario sc_;
     sim::Simulator sim_;
-    core::LinearModelConfig deviceModel_;
-    std::unique_ptr<host::Host> host_;
+    host::ScenarioHost built_;
+    /** built_'s host. */
+    host::Host *host_ = nullptr;
     std::vector<std::string> jobNames_;
     std::vector<cgroup::CgroupId> jobCgs_;
-    std::vector<std::unique_ptr<workload::FioWorkload>> workloads_;
-    std::vector<std::unique_ptr<workload::BufferedWorkload>>
-        buffered_;
     std::vector<std::pair<sim::Time, host::HostSnapshot>>
         checkpoints_;
     RunStats baseline_;

@@ -8,22 +8,15 @@
  * per-cgroup usage, wait, debt, and hierarchical weights — instead
  * of only end-of-run aggregates.
  *
- * Single-host mode mirrors iocost_sim's flags:
- *   iocost_mon [--device oldgen|newgen|enterprise|hdd|gp3|io2|
- *               pd-balanced|pd-ssd]
- *              [--controller "<spec>"] [--model "..."] [--qos "..."]
- *              [--faults "<spec>"]  deterministic device fault plan
- *                              (see sim::FaultPlan::parse)
- *              [--seconds N] [--seed N] [--job name:key=value:...]
- *              [--pagecache SIZE] [--dirty-ratio PCT]
- *                              page cache for buffered=1 jobs
- *                              (same keys as iocost_sim); the
- *                              flusher's "wb" telemetry shows up
- *                              as a [wb] row under each period
+ * Single-host mode takes iocost_sim's scenario flags (--device,
+ * --controller, --model, --qos, --faults, --seconds (default 5),
+ * --seed, --pagecache, --dirty-ratio, --job; grammar and defaults
+ * in host/scenario_spec.hh) plus
  *              [--every N]     render every Nth period (default:
  *                              auto, ~32 rows)
  *              [--detail]      per-completion device/blk records
  *              [--out FILE]    also dump every record as JSONL
+ * The page cache's flusher shows up as a [wb] row under each period.
  *
  * Host sweep mode runs every ';'-separated controller spec as a
  * shadow lane over one shared workload/device stream (host::runSweep
@@ -31,8 +24,7 @@
  * planning boundary — the row where a sweep visibly falls off the
  * fused path — plus the end-of-run per-config comparison:
  *   iocost_mon --sweep "iocost min=100;iocost min=25;iolatency"
- *              [--device ...] [--faults ...] [--seconds N]
- *              [--seed N] [--job ...] [--every N] [--out FILE]
+ *              [scenario flags] [--every N] [--out FILE]
  *
  * Fleet mode replays the §4.8 migration studies with telemetry on,
  * writing one JSONL record per telemetry sample prefixed with the
@@ -79,137 +71,16 @@
 #include <string>
 #include <vector>
 
-#include "core/config_parse.hh"
-#include "device/device_profiles.hh"
-#include "device/hdd_model.hh"
-#include "device/remote_model.hh"
-#include "device/ssd_model.hh"
+#include "cli.hh"
 #include "fleet/fleet_sim.hh"
-#include "host/config.hh"
-#include "host/host.hh"
-#include "host/sweep.hh"
-#include "profile/device_profiler.hh"
+#include "host/scenario_spec.hh"
 #include "sim/logging.hh"
 #include "stat/telemetry.hh"
-#include "workload/buffered_io.hh"
-#include "workload/fio_workload.hh"
 
 namespace {
 
 using namespace iocost;
-
-struct JobSpec
-{
-    std::string name = "job";
-    uint32_t weight = 100;
-    workload::FioConfig fio;
-    /** Route through the page cache instead of the block layer. */
-    bool buffered = false;
-    uint32_t fsyncEvery = 0;
-    uint64_t spanBytes = 0;
-};
-
-/** Parse "name:key=value:..." (same grammar as iocost_sim). */
-JobSpec
-parseJob(const std::string &arg)
-{
-    JobSpec job;
-    size_t pos = 0;
-    bool first = true;
-    while (pos <= arg.size()) {
-        const size_t colon = arg.find(':', pos);
-        const std::string part =
-            arg.substr(pos, colon == std::string::npos
-                                ? std::string::npos
-                                : colon - pos);
-        if (first) {
-            job.name = part;
-            first = false;
-        } else {
-            const size_t eq = part.find('=');
-            if (eq == std::string::npos)
-                sim::fatal("bad job attribute: " + part);
-            const std::string key = part.substr(0, eq);
-            const std::string value = part.substr(eq + 1);
-            if (key == "weight") {
-                job.weight =
-                    static_cast<uint32_t>(std::stoul(value));
-            } else if (key == "depth") {
-                job.fio.iodepth =
-                    static_cast<unsigned>(std::stoul(value));
-            } else if (key == "bs") {
-                job.fio.blockSize =
-                    static_cast<uint32_t>(std::stoul(value));
-            } else if (key == "rw") {
-                job.fio.readFraction = value == "read"    ? 1.0
-                                       : value == "write" ? 0.0
-                                                          : 0.5;
-            } else if (key == "pattern") {
-                job.fio.randomFraction =
-                    value == "seq" ? 0.0 : 1.0;
-            } else if (key == "rate") {
-                job.fio.arrival = workload::Arrival::Rate;
-                job.fio.ratePerSec = std::stod(value);
-            } else if (key == "buffered") {
-                job.buffered = std::stoul(value) != 0;
-            } else if (key == "fsync") {
-                job.fsyncEvery =
-                    static_cast<uint32_t>(std::stoul(value));
-            } else if (key == "span") {
-                job.spanBytes = std::stoull(value);
-            } else {
-                sim::fatal("unknown job key: " + key);
-            }
-        }
-        if (colon == std::string::npos)
-            break;
-        pos = colon + 1;
-    }
-    return job;
-}
-
-std::unique_ptr<blk::BlockDevice>
-makeDevice(const std::string &name, sim::Simulator &sim,
-           core::LinearModelConfig &model_out)
-{
-    auto ssd = [&](const device::SsdSpec &spec) {
-        model_out =
-            profile::DeviceProfiler::profileSsd(spec).model;
-        return std::make_unique<device::SsdModel>(sim, spec);
-    };
-    if (name == "oldgen")
-        return ssd(device::oldGenSsd());
-    if (name == "newgen")
-        return ssd(device::newGenSsd());
-    if (name == "enterprise")
-        return ssd(device::enterpriseSsd());
-    if (name == "hdd") {
-        model_out = profile::DeviceProfiler::profileHdd(
-                        device::nearlineHdd())
-                        .model;
-        return std::make_unique<device::HddModel>(
-            sim, device::nearlineHdd());
-    }
-    const device::RemoteSpec *remote = nullptr;
-    static const device::RemoteSpec gp3 = device::awsGp3();
-    static const device::RemoteSpec io2 = device::awsIo2();
-    static const device::RemoteSpec pdb = device::gcpBalanced();
-    static const device::RemoteSpec pds = device::gcpSsd();
-    if (name == "gp3")
-        remote = &gp3;
-    else if (name == "io2")
-        remote = &io2;
-    else if (name == "pd-balanced")
-        remote = &pdb;
-    else if (name == "pd-ssd")
-        remote = &pds;
-    if (remote) {
-        model_out =
-            profile::DeviceProfiler::profileRemote(*remote).model;
-        return std::make_unique<device::RemoteModel>(sim, *remote);
-    }
-    sim::fatal("unknown device: " + name);
-}
+using cli::orFatal;
 
 /** One planning period reassembled from the record stream. */
 struct Period
@@ -330,108 +201,22 @@ printPeriods(const std::vector<Period> &periods,
 }
 
 int
-runSingleHost(const std::string &device_name,
-              const std::string &controller,
-              const std::string &model_line,
-              const std::string &qos_line,
-              const std::string &faults_spec, double seconds,
-              uint64_t seed, std::vector<JobSpec> jobs,
-              uint64_t pagecache_bytes, double dirty_ratio_pct,
-              unsigned every, bool detail,
-              const std::string &out_path)
+runSingleHost(const host::ScenarioSpec &spec, unsigned every,
+              bool detail, const std::string &out_path)
 {
-    sim::Simulator sim(seed);
-    core::LinearModelConfig model;
-    auto device = makeDevice(device_name, sim, model);
-
-    if (!model_line.empty()) {
-        const auto parsed = core::parseModelLine(model_line);
-        if (!parsed)
-            sim::fatal("bad --model line");
-        model = *parsed;
-    }
-
-    const auto spec = controllers::parseControllerSpec(controller);
-    if (!spec)
-        sim::fatal("bad --controller spec: " + controller);
-
+    sim::Simulator sim(spec.seed);
     stat::RingSink ring;
-
     host::HostOptions opts;
-    opts.controller = *spec;
-    opts.controller.iocost.model =
-        core::CostModel::fromConfig(model);
-    opts.controller.iocost.qos.vrateMin = 0.5;
-    opts.controller.iocost.qos.vrateMax = 1.0;
-    if (!qos_line.empty()) {
-        const auto parsed = core::parseQosLine(qos_line);
-        if (!parsed)
-            sim::fatal("bad --qos line");
-        opts.controller.iocost.qos = *parsed;
-    }
     opts.telemetrySink = &ring;
     opts.telemetryDetail = detail;
-    opts.faults = faults_spec;
-
-    // Buffered jobs need a page cache; default one in when the
-    // size was left implicit (same policy as iocost_sim).
-    bool any_buffered = false;
-    for (const JobSpec &job : jobs)
-        any_buffered = any_buffered || job.buffered;
-    if (any_buffered && pagecache_bytes == 0)
-        pagecache_bytes = 512ull << 20;
-    if (pagecache_bytes != 0) {
-        opts.enablePageCache = true;
-        opts.pageCacheConfig.cacheBytes = pagecache_bytes;
-        if (dirty_ratio_pct > 0.0) {
-            opts.pageCacheConfig.dirtyRatio =
-                dirty_ratio_pct / 100.0;
-            opts.pageCacheConfig.dirtyBackgroundRatio =
-                dirty_ratio_pct / 200.0;
-        }
-    }
-
-    host::Host host(sim, std::move(device), opts);
-
-    if (jobs.empty()) {
-        jobs.push_back(parseJob("web:weight=200:depth=32"));
-        jobs.push_back(parseJob("batch:weight=100:depth=32"));
-    }
+    const host::ScenarioHost built =
+        orFatal([&] { return spec.buildHost(sim, opts); });
 
     std::printf("device=%s controller=%s seconds=%.1f seed=%llu\n",
-                device_name.c_str(), spec->name.c_str(), seconds,
-                static_cast<unsigned long long>(seed));
-
-    std::vector<std::unique_ptr<workload::FioWorkload>> running;
-    std::vector<std::unique_ptr<workload::BufferedWorkload>>
-        buffered;
-    for (size_t j = 0; j < jobs.size(); ++j) {
-        JobSpec &js = jobs[j];
-        const auto cg = host.addWorkload(js.name, js.weight);
-        js.fio.offsetBase = j << 40;
-        if (js.buffered) {
-            workload::BufferedConfig bc;
-            bc.name = js.name;
-            bc.readFraction = js.fio.readFraction;
-            bc.randomFraction = js.fio.randomFraction;
-            bc.blockSize = js.fio.blockSize;
-            bc.offsetBase = js.fio.offsetBase;
-            bc.fsyncEvery = js.fsyncEvery;
-            bc.depth = js.fio.iodepth;
-            if (js.spanBytes != 0)
-                bc.spanBytes = js.spanBytes;
-            buffered.push_back(
-                std::make_unique<workload::BufferedWorkload>(
-                    sim, host.pageCache(), cg, bc));
-            buffered.back()->start();
-        } else {
-            running.push_back(
-                std::make_unique<workload::FioWorkload>(
-                    sim, host.layer(), cg, js.fio));
-            running.back()->start();
-        }
-    }
-    sim.runUntil(static_cast<sim::Time>(seconds * sim::kSec));
+                spec.device.c_str(), built.controller.name.c_str(),
+                spec.seconds,
+                static_cast<unsigned long long>(spec.seed));
+    sim.runUntil(spec.duration());
 
     const auto &records = ring.records();
     const auto periods = collectPeriods(
@@ -449,7 +234,7 @@ runSingleHost(const std::string &device_name,
                         static_cast<unsigned long long>(n));
         }
     } else {
-        printPeriods(periods, host.tree(), every);
+        printPeriods(periods, built.host->tree(), every);
         std::printf("%zu planning periods, %zu records\n",
                     periods.size(), records.size());
     }
@@ -477,62 +262,20 @@ runSingleHost(const std::string &device_name,
  * forked and at the period it re-fused.
  */
 int
-runHostSweep(const std::string &device_name,
-             const std::string &sweep_arg,
-             const std::string &model_line,
-             const std::string &faults_spec, double seconds,
-             uint64_t seed, std::vector<JobSpec> jobs,
-             unsigned every, const std::string &out_path)
+runHostSweep(const host::ScenarioSpec &spec,
+             const std::string &sweep_arg, unsigned every,
+             const std::string &out_path)
 {
-    std::vector<std::string> specs;
-    for (size_t pos = 0; pos <= sweep_arg.size();) {
-        size_t semi = sweep_arg.find(';', pos);
-        if (semi == std::string::npos)
-            semi = sweep_arg.size();
-        if (semi > pos)
-            specs.push_back(sweep_arg.substr(pos, semi - pos));
-        pos = semi + 1;
-    }
-    if (specs.empty())
-        sim::fatal("--sweep needs at least one controller spec");
-
-    // Profile the device's cost model up front: the runner applies
-    // tweakSpec while parsing specs, before any device exists.
-    core::LinearModelConfig model;
-    {
-        sim::Simulator probe(seed);
-        (void)makeDevice(device_name, probe, model);
-    }
-    if (!model_line.empty()) {
-        const auto parsed = core::parseModelLine(model_line);
-        if (!parsed)
-            sim::fatal("bad --model line");
-        model = *parsed;
-    }
-
-    if (jobs.empty()) {
-        jobs.push_back(parseJob("web:weight=200:depth=32"));
-        jobs.push_back(parseJob("batch:weight=100:depth=32"));
-    }
-
+    const std::vector<std::string> specs =
+        controllers::splitSpecList(sweep_arg);
+    host::SweepOptions opts =
+        orFatal([&] { return spec.sweepOptions(specs); });
     stat::RingSink ring;
-    host::SweepOptions opts;
-    opts.specs = specs;
-    opts.faults = faults_spec;
     opts.generatorSink = &ring;
-    opts.makeDevice = [&device_name](sim::Simulator &sim) {
-        core::LinearModelConfig scratch;
-        return makeDevice(device_name, sim, scratch);
-    };
-    const core::CostModel cost = core::CostModel::fromConfig(model);
-    opts.tweakSpec = [cost](const std::string &,
-                            controllers::ControllerSpec &spec) {
-        spec.iocost.model = cost;
-    };
 
     std::printf("device=%s sweep K=%zu seconds=%.1f seed=%llu\n",
-                device_name.c_str(), specs.size(), seconds,
-                static_cast<unsigned long long>(seed));
+                spec.device.c_str(), specs.size(), spec.seconds,
+                static_cast<unsigned long long>(spec.seed));
 
     struct LaneRow
     {
@@ -542,50 +285,39 @@ runHostSweep(const std::string &device_name,
         double p99Us = 0.0;
     };
     double fraction = -1.0;
-    const auto rows = host::runSweep(
-        std::move(opts), seed, 1,
-        [&jobs, seconds](sim::Simulator &sim,
-                         host::SweepRunner &runner) {
-            std::vector<std::unique_ptr<workload::FioWorkload>>
-                running;
-            for (size_t j = 0; j < jobs.size(); ++j) {
-                JobSpec js = jobs[j];
-                const auto cg =
-                    runner.addWorkload(js.name, js.weight);
-                js.fio.offsetBase = j << 40;
-                running.push_back(
-                    std::make_unique<workload::FioWorkload>(
-                        sim, runner.layer(), cg, js.fio));
-                running.back()->start();
-            }
-            sim.runUntil(
-                static_cast<sim::Time>(seconds * sim::kSec));
-        },
-        [&fraction](host::SweepRunner &runner, size_t lane,
-                    size_t) {
-            if (const host::FusedObserver *obs =
-                    runner.fusedObserver())
-                fraction = obs->fusedFraction();
-            LaneRow row;
-            const auto &cgs = runner.workloadCgroups();
-            for (const auto &named : cgs) {
-                const blk::CgroupIoStats &st =
-                    runner.laneLayer(lane).stats(named.second);
-                row.reads += st.reads;
-                row.writes += st.writes;
-            }
-            if (!cgs.empty()) {
-                const stat::Histogram &lat =
-                    runner.laneLayer(lane)
-                        .stats(cgs.front().second)
-                        .totalLatency;
-                row.p50Us =
-                    static_cast<double>(lat.quantile(0.50)) / 1e3;
-                row.p99Us =
-                    static_cast<double>(lat.quantile(0.99)) / 1e3;
-            }
-            return row;
-        });
+    const std::vector<LaneRow> rows = orFatal([&] {
+        return host::runSweep(
+            std::move(opts), spec.seed, 1,
+            [&spec](sim::Simulator &sim, host::SweepRunner &runner) {
+                const auto running = spec.startJobs(sim, runner);
+                sim.runUntil(spec.duration());
+            },
+            [&fraction](host::SweepRunner &runner, size_t lane,
+                        size_t) {
+                if (const host::FusedObserver *obs =
+                        runner.fusedObserver())
+                    fraction = obs->fusedFraction();
+                LaneRow row;
+                const auto &cgs = runner.workloadCgroups();
+                for (const auto &named : cgs) {
+                    const blk::CgroupIoStats &st =
+                        runner.laneLayer(lane).stats(named.second);
+                    row.reads += st.reads;
+                    row.writes += st.writes;
+                }
+                if (!cgs.empty()) {
+                    const stat::Histogram &lat =
+                        runner.laneLayer(lane)
+                            .stats(cgs.front().second)
+                            .totalLatency;
+                    row.p50Us =
+                        static_cast<double>(lat.quantile(0.50)) / 1e3;
+                    row.p99Us =
+                        static_cast<double>(lat.quantile(0.99)) / 1e3;
+                }
+                return row;
+            });
+    });
 
     // Fast-path occupancy timeline from the generator's stream.
     struct FusedPeriod
@@ -815,15 +547,7 @@ renderWhatifStream(const std::string &text)
 int
 runFleetIn(const std::string &in_path)
 {
-    FILE *f = std::fopen(in_path.c_str(), "r");
-    if (!f)
-        sim::fatal("cannot read " + in_path);
-    std::string text;
-    char buf[65536];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, n);
-    std::fclose(f);
+    const std::string text = cli::readFile(in_path);
 
     // Sweep documents embed per-config aggregates (each with its
     // own marker), so sniff the sweep wrapper first.
@@ -917,29 +641,14 @@ runFleet(const std::string &scenario, fleet::FleetConfig cfg,
     // engine: constant memory, aggregate rendering.
     if (!scenario.empty() && scenario != "fig18" &&
         scenario != "fig19") {
-        std::string spec_text = scenario;
-        if (scenario[0] == '@') {
-            FILE *f = std::fopen(scenario.c_str() + 1, "r");
-            if (!f)
-                sim::fatal("cannot read scenario file " +
-                           scenario.substr(1));
-            spec_text.clear();
-            char buf[4096];
-            size_t n;
-            while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-                spec_text.append(buf, n);
-            std::fclose(f);
-        } else if (scenario.find('=') == std::string::npos) {
+        if (scenario[0] != '@' && scenario.find('=') == std::string::npos) {
             sim::fatal("unknown --scenario (fig18|fig19, a "
                        "FleetScenario spec, or @file): " +
                        scenario);
         }
-        fleet::FleetScenario sc;
-        try {
-            sc = fleet::FleetScenario::parse(spec_text);
-        } catch (const std::invalid_argument &err) {
-            sim::fatal(err.what());
-        }
+        fleet::FleetScenario sc = orFatal([&] {
+            return fleet::FleetScenario::parse(cli::specText(scenario));
+        });
         if (!cfg.faults.empty())
             sc.faults = cfg.faults;
         fleet::RunOptions run_opts;
@@ -947,13 +656,9 @@ runFleet(const std::string &scenario, fleet::FleetConfig cfg,
         run_opts.shards = shards;
         std::printf("fleet scenario: %s\n", sc.canonical().c_str());
         if (!sc.sweep.empty()) {
-            std::vector<fleet::FleetAggregate> aggs;
-            try {
-                aggs = fleet::FleetSim::runScenarioSweep(sc,
-                                                         run_opts);
-            } catch (const std::exception &err) {
-                sim::fatal(err.what());
-            }
+            const auto aggs = orFatal([&] {
+                return fleet::FleetSim::runScenarioSweep(sc, run_opts);
+            });
             fleet::SweepView view;
             view.labels = sc.sweep;
             for (size_t c = 0; c < aggs.size(); ++c) {
@@ -964,9 +669,7 @@ runFleet(const std::string &scenario, fleet::FleetConfig cfg,
                 renderAggregate(view.entries.back());
             }
             if (!out_path.empty()) {
-                FILE *out = std::fopen(out_path.c_str(), "w");
-                if (!out)
-                    sim::fatal("cannot write " + out_path);
+                FILE *out = cli::openOut(out_path);
                 fleet::writeSweepJson(view, out);
                 std::fclose(out);
                 std::printf("wrote sweep to %s\n",
@@ -979,9 +682,7 @@ runFleet(const std::string &scenario, fleet::FleetConfig cfg,
         const auto view = fleet::AggregateView::from(agg);
         renderAggregate(view);
         if (!out_path.empty()) {
-            FILE *out = std::fopen(out_path.c_str(), "w");
-            if (!out)
-                sim::fatal("cannot write " + out_path);
+            FILE *out = cli::openOut(out_path);
             fleet::writeAggregateJson(view, out);
             std::fclose(out);
             std::printf("wrote aggregate to %s\n",
@@ -1012,11 +713,8 @@ runFleet(const std::string &scenario, fleet::FleetConfig cfg,
     const auto &days = agg.days;
 
     FILE *out = stdout;
-    if (!out_path.empty()) {
-        out = std::fopen(out_path.c_str(), "w");
-        if (out == nullptr)
-            sim::fatal("cannot write " + out_path);
-    }
+    if (!out_path.empty())
+        out = cli::openOut(out_path);
 
     // Serialize the outcome grid in (day, host, time) order: that
     // is already the natural record order inside each slice, and
@@ -1058,17 +756,11 @@ runFleet(const std::string &scenario, fleet::FleetConfig cfg,
 int
 main(int argc, char **argv)
 {
-    std::string device_name = "newgen";
-    std::string controller = "iocost";
-    std::string model_line, qos_line, out_path, scenario;
-    std::string faults_spec, sweep_arg;
-    double seconds = 5.0;
-    uint64_t seed = 42;
-    uint64_t pagecache_bytes = 0;
-    double dirty_ratio_pct = 0.0;
+    host::ScenarioSpec spec;
+    spec.seconds = 5.0;
+    std::string out_path, scenario, sweep_arg;
     unsigned every = 0;
     bool detail = false;
-    std::vector<JobSpec> jobs;
     bool fleet_mode = false;
     fleet::FleetConfig fleet_cfg;
     // Replay default: a slice of the fleet large enough to cover
@@ -1089,35 +781,15 @@ main(int argc, char **argv)
                 sim::fatal(arg + " needs a value");
             return argv[++i];
         };
-        if (arg == "--device") {
-            device_name = next();
-        } else if (arg == "--controller") {
-            controller = next();
+        auto count = [&] { return cli::count(next(), arg); };
+        if (const std::string key = host::ScenarioSpec::flagKey(arg);
+            !key.empty()) {
+            const std::string value = next();
+            orFatal([&] { return spec.set(key, value, arg); });
         } else if (arg == "--sweep") {
             sweep_arg = next();
-        } else if (arg == "--model") {
-            model_line = next();
-        } else if (arg == "--qos") {
-            qos_line = next();
-        } else if (arg == "--faults") {
-            faults_spec = next();
-        } else if (arg == "--seconds") {
-            seconds = std::stod(next());
-        } else if (arg == "--seed") {
-            seed = std::stoull(next());
-        } else if (arg == "--job") {
-            jobs.push_back(parseJob(next()));
-        } else if (arg == "--pagecache") {
-            const auto v = host::parseSize(next());
-            if (!v)
-                sim::fatal("bad --pagecache size");
-            pagecache_bytes = *v;
-        } else if (arg == "--dirty-ratio") {
-            dirty_ratio_pct = std::stod(next());
-            if (dirty_ratio_pct < 0.0 || dirty_ratio_pct > 100.0)
-                sim::fatal("--dirty-ratio must be in [0, 100]");
         } else if (arg == "--every") {
-            every = static_cast<unsigned>(std::stoul(next()));
+            every = count();
         } else if (arg == "--detail") {
             detail = true;
         } else if (arg == "--out") {
@@ -1127,17 +799,13 @@ main(int argc, char **argv)
         } else if (arg == "--scenario") {
             scenario = next();
         } else if (arg == "--hosts") {
-            fleet_cfg.hosts =
-                static_cast<unsigned>(std::stoul(next()));
+            fleet_cfg.hosts = count();
         } else if (arg == "--days") {
-            fleet_cfg.days =
-                static_cast<unsigned>(std::stoul(next()));
+            fleet_cfg.days = count();
         } else if (arg == "--jobs") {
-            fleet_jobs =
-                static_cast<unsigned>(std::stoul(next()));
+            fleet_jobs = count();
         } else if (arg == "--shards") {
-            fleet_shards =
-                static_cast<unsigned>(std::stoul(next()));
+            fleet_shards = count();
         } else if (arg == "--in") {
             in_path = next();
         } else if (arg == "--help" || arg == "-h") {
@@ -1148,16 +816,6 @@ main(int argc, char **argv)
         }
     }
 
-    // Validate the fault spec up front so both modes reject a bad
-    // --faults string before any simulation work happens.
-    if (!faults_spec.empty()) {
-        try {
-            (void)sim::FaultPlan::parse(faults_spec);
-        } catch (const std::invalid_argument &err) {
-            sim::fatal(err.what());
-        }
-    }
-
     if (!in_path.empty()) {
         // Reader mode sniffs the document type itself, so --fleet
         // is accepted but no longer required.
@@ -1165,24 +823,13 @@ main(int argc, char **argv)
         return runFleetIn(in_path);
     }
     if (fleet_mode) {
-        fleet_cfg.faults = faults_spec;
+        fleet_cfg.faults = spec.faults;
         return runFleet(scenario, fleet_cfg, fleet_jobs,
                         fleet_shards, out_path);
     }
-    if (!sweep_arg.empty()) {
-        for (const JobSpec &job : jobs) {
-            if (job.buffered) {
-                sim::fatal("buffered jobs are not supported under "
-                           "--sweep (the shadow-lane engine has no "
-                           "page cache)");
-            }
-        }
-        return runHostSweep(device_name, sweep_arg, model_line,
-                            faults_spec, seconds, seed,
-                            std::move(jobs), every, out_path);
-    }
-    return runSingleHost(device_name, controller, model_line,
-                         qos_line, faults_spec, seconds, seed,
-                         std::move(jobs), pagecache_bytes,
-                         dirty_ratio_pct, every, detail, out_path);
+    orFatal([&] { spec.normalize(); });
+    spec.defaultPageCache();
+    if (!sweep_arg.empty())
+        return runHostSweep(spec, sweep_arg, every, out_path);
+    return runSingleHost(spec, every, detail, out_path);
 }

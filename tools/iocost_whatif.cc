@@ -30,33 +30,13 @@
 #include <stdexcept>
 #include <string>
 
+#include "cli.hh"
 #include "sim/logging.hh"
 #include "whatif/query.hh"
 #include "whatif/scenario.hh"
 #include "whatif/service.hh"
 
-namespace {
-
 using namespace iocost;
-
-std::string
-readSpecArg(const std::string &arg)
-{
-    if (arg.empty() || arg[0] != '@')
-        return arg;
-    FILE *f = std::fopen(arg.c_str() + 1, "r");
-    if (!f)
-        sim::fatal("cannot read scenario file " + arg.substr(1));
-    std::string text;
-    char buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, n);
-    std::fclose(f);
-    return text;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -75,7 +55,7 @@ main(int argc, char **argv)
         if (arg == "--scenario") {
             scenario_arg = next();
         } else if (arg == "--threads") {
-            threads = static_cast<unsigned>(std::stoul(next()));
+            threads = cli::count(next(), arg);
         } else if (arg == "--cold") {
             cold = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -86,12 +66,9 @@ main(int argc, char **argv)
         }
     }
 
-    whatif::Scenario sc;
-    try {
-        sc = whatif::Scenario::parse(readSpecArg(scenario_arg));
-    } catch (const std::invalid_argument &err) {
-        sim::fatal(err.what());
-    }
+    const whatif::Scenario sc = cli::orFatal([&] {
+        return whatif::Scenario::parse(cli::specText(scenario_arg));
+    });
     std::fprintf(stderr, "whatif: scenario %s\n",
                  sc.canonical().c_str());
 
