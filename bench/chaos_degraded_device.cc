@@ -214,21 +214,17 @@ main(int argc, char **argv)
                    "repeated seeded run is byte-identical");
 
     // Degraded fleet: identical outcomes at --jobs 1 and 4.
-    fleet::FleetConfig cfg;
-    cfg.hosts = 4;
-    cfg.days = 2;
-    cfg.migrationStartDay = 1;
-    cfg.migrationEndDay = 2;
-    cfg.warmup = 300 * sim::kMsec;
-    cfg.slice = 250 * sim::kMsec;
-    cfg.fetchBytes = 2ull << 20;
-    cfg.cleanupOps = 40;
-    cfg.seed = 91;
-    cfg.telemetry = true;
-    cfg.faults = "lat@350ms+100ms=3,err@350ms+150ms=0.08";
+    fleet::FleetScenario sc = fleet::FleetScenario::parse(
+        std::string(fleet::kMigrationFleetSpec) +
+        " hosts=4 days=2 seed=91 migration=1..2 slice=250ms "
+        "warmup=300ms fetch=2M cleanup=40 "
+        "faults=lat@350ms+100ms=3,err@350ms+150ms=0.08");
+    sc.telemetry = true;
     std::vector<fleet::HostDayOutcome> seq, par;
-    fleet::FleetSim::run(cfg, 1, &seq);
-    fleet::FleetSim::run(cfg, 4, &par);
+    fleet::RunOptions opts;
+    fleet::FleetSim::runScenario(sc, opts, &seq);
+    opts.jobs = 4;
+    fleet::FleetSim::runScenario(sc, opts, &par);
     std::string dseq, dpar;
     for (const auto &o : seq)
         for (const stat::Record &r : o.records)

@@ -11,84 +11,17 @@
  * roughly 10x as the region migrates.
  */
 
-#include "bench/common.hh"
-#include "fleet/fleet_sim.hh"
+#include "bench/migration_figure.hh"
 
 int
 main(int argc, char **argv)
 {
-    using namespace iocost;
-
-    bench::banner(
-        "Figure 18: Package fetching failures during the "
-        "IOLatency -> IOCost migration",
-        "Scaled fleet Monte-Carlo (see DESIGN.md): failures/day as "
-        "hosts migrate.\nExpected shape: high plateau before, "
-        "roughly 10x lower after.");
-
-    fleet::FleetConfig cfg;
-    cfg.seed = 1818;
-    // Results are byte-identical for any --jobs/--shards value; the
-    // default uses every hardware thread.
-    const bench::BenchArgs args = bench::parseArgs(argc, argv);
-    fleet::RunOptions opts;
-    opts.jobs = args.jobs;
-    opts.shards = args.shards;
-    fleet::FleetScenario sc = fleet::scenarioFromConfig(cfg);
-    if (!args.faults.empty())
-        sc.faults = args.faults;
-    const fleet::FleetAggregate agg =
-        fleet::FleetSim::runScenario(sc, opts);
-    const auto &days = agg.days;
-
-    bench::Table table({"Day", "Fleet on IOCost", "Fetches",
-                        "Failures", "Failure rate"});
-    unsigned before_fail = 0, before_n = 0;
-    unsigned after_fail = 0, after_n = 0;
-    for (const auto &d : days) {
-        table.row(
-            {bench::fmt("%.0f", (double)d.day),
-             bench::fmt("%.0f%%", 100.0 * d.fractionOnIoCost),
-             bench::fmt("%.0f", (double)d.fetchAttempts),
-             bench::fmt("%.0f", (double)d.fetchFailures),
-             bench::fmt("%.1f%%", 100.0 * d.fetchFailures /
-                                      d.fetchAttempts)});
-        if (d.fractionOnIoCost < 0.05) {
-            before_fail += d.fetchFailures;
-            before_n += d.fetchAttempts;
-        } else if (d.fractionOnIoCost > 0.95) {
-            after_fail += d.fetchFailures;
-            after_n += d.fetchAttempts;
-        }
-    }
-    table.print();
-
-    const double before =
-        before_n ? 100.0 * before_fail / before_n : 0.0;
-    const double after = after_n ? 100.0 * after_fail / after_n
-                                 : 0.0;
-    std::printf("Pre-migration failure rate:  %.1f%%\n", before);
-    std::printf("Post-migration failure rate: %.1f%%\n", after);
-    if (after > 0) {
-        std::printf("Reduction: %.1fx (paper: ~10x)\n",
-                    before / after);
-    } else {
-        std::printf("Reduction: complete (paper: ~10x)\n");
-    }
-    std::printf(
-        "Completed-fetch latency: iolatency p50=%s p99=%s | "
-        "iocost p50=%s p99=%s\n",
-        bench::fmtTime(
-            agg.fetchTime[fleet::kCtlIoLatency].quantile(0.50))
-            .c_str(),
-        bench::fmtTime(
-            agg.fetchTime[fleet::kCtlIoLatency].quantile(0.99))
-            .c_str(),
-        bench::fmtTime(
-            agg.fetchTime[fleet::kCtlIoCost].quantile(0.50))
-            .c_str(),
-        bench::fmtTime(
-            agg.fetchTime[fleet::kCtlIoCost].quantile(0.99))
-            .c_str());
-    return 0;
+    return iocost::bench::runMigrationFigure(
+        argc, argv,
+        {"Figure 18: Package fetching failures during the "
+         "IOLatency -> IOCost migration",
+         "Scaled fleet Monte-Carlo (see DESIGN.md): failures/day as "
+         "hosts migrate.\nExpected shape: high plateau before, "
+         "roughly 10x lower after.",
+         1818, false, "~10x"});
 }

@@ -2,11 +2,12 @@
  * @file
  * Simulation-kernel performance baseline.
  *
- * Measures the three hot paths every figure reproduction is built
- * on — sustained schedule+fire throughput, a cancel-heavy mix, and
- * fleet host-days/sec (sequential and `--jobs 4`) — and writes the
- * numbers to BENCH_kernel.json so subsequent PRs have a tracked perf
- * trajectory to beat.
+ * Measures the hot paths every figure reproduction is built on —
+ * sustained schedule+fire throughput, a cancel-heavy mix, the bio
+ * path, sweeps, snapshots and writeback — and writes the numbers to
+ * BENCH_kernel.json so subsequent PRs have a tracked perf
+ * trajectory to beat. Fleet throughput is perf_fleet's
+ * (BENCH_fleet.json).
  *
  * To keep the comparison honest across PRs, the seed kernel (the
  * pre-pooled-slot EventQueue: shared_ptr<bool> tombstone per event,
@@ -29,7 +30,6 @@
 #include <memory>
 #include <new>
 #include <queue>
-#include <thread>
 #include <vector>
 
 #include "bench/common.hh"
@@ -38,7 +38,6 @@
 #include "controllers/factory.hh"
 #include "device/device_profiles.hh"
 #include "device/ssd_model.hh"
-#include "fleet/fleet_sim.hh"
 #include "host/device_factory.hh"
 #include "host/host.hh"
 #include "host/sweep.hh"
@@ -426,36 +425,6 @@ compare(int reps, CurFn cur, LegFn leg)
         ratio.push_back(c.back() / l.back());
     }
     return Comparison{median(c), median(l), median(ratio)};
-}
-
-/** Fleet config matching the determinism test's scale. */
-fleet::FleetConfig
-fleetConfig()
-{
-    fleet::FleetConfig cfg;
-    cfg.hosts = 8;
-    cfg.days = 6;
-    cfg.migrationStartDay = 1;
-    cfg.migrationEndDay = 5;
-    cfg.warmup = 300 * sim::kMsec;
-    cfg.slice = 250 * sim::kMsec;
-    cfg.fetchBytes = 2ull << 20;
-    cfg.cleanupOps = 40;
-    cfg.seed = 2022;
-    return cfg;
-}
-
-double
-fleetRate(unsigned jobs)
-{
-    const fleet::FleetConfig cfg = fleetConfig();
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto days = fleet::FleetSim::run(cfg, jobs);
-    const auto t1 = std::chrono::steady_clock::now();
-    if (days.size() != cfg.days)
-        return 0.0; // should be impossible; poisons the JSON visibly
-    return static_cast<double>(cfg.hosts) * cfg.days /
-           seconds(t0, t1);
 }
 
 // ---------------------------------------------------------------
@@ -1407,9 +1376,9 @@ main(int argc, char **argv)
     bench::banner(
         "Kernel perf baseline (BENCH_kernel.json)",
         "Sustained DES throughput, cancel-heavy mix, bio fast path, "
-        "and fleet\nhost-days/sec, current kernel vs the pinned "
-        "seed-shaped baselines.\nRatios are the tracked quantities; "
-        "absolute rates move with the machine.");
+        "sweeps,\nsnapshots and writeback, current kernel vs the "
+        "pinned seed-shaped baselines.\nRatios are the tracked "
+        "quantities; absolute rates move with the machine.");
 
     const uint64_t kSchedFire = 4'000'000;
     const uint64_t kCancel = 3'000'000;
@@ -1449,16 +1418,6 @@ main(int argc, char **argv)
             seed_allocs = std::max(seed_allocs, r.allocsPerBio);
             return r.biosPerSec;
         });
-
-    const unsigned hw = std::max(
-        1u, std::thread::hardware_concurrency());
-    // Warm the device-profile cache so neither fleet timing pays the
-    // one-time profiling cost — otherwise whichever runs first eats
-    // it and the seq-vs-parallel ratio is fiction.
-    profile::DeviceProfiler::profileSsd(device::oldGenSsd());
-    profile::DeviceProfiler::profileSsd(device::newGenSsd());
-    const double fleet_seq = fleetRate(1);
-    const double fleet_j4 = fleetRate(4);
 
     // Multi-config sweep: fused and full-lane single passes vs
     // sequential plain runs on the divergent K=4 ladder and the
@@ -1506,12 +1465,6 @@ main(int argc, char **argv)
                bench::fmtCount(kPrePrBiosPerSec),
                bench::fmt("%.2fx",
                           bp.current / kPrePrBiosPerSec)});
-    table.row({"fleet seq (host-days/s)",
-               bench::fmt("%.1f", fleet_seq), "-", "-"});
-    table.row({"fleet --jobs 4 (host-days/s)",
-               bench::fmt("%.1f", fleet_j4), "-",
-               hw > 1 ? bench::fmt("%.2fx", fleet_j4 / fleet_seq)
-                      : std::string("n/a (1 hw thread)")});
     table.row({"sweep K=4 divergent fused pass (s)",
                bench::fmt("%.2f", st.fusedWall),
                bench::fmt("%.2f", st.sequentialWall),
@@ -1558,20 +1511,6 @@ main(int argc, char **argv)
     table.row({"writeback cleaned fraction",
                bench::fmt("%.3f", wb.cleanedFraction), "-", "-"});
     table.print();
-    std::printf("hardware threads: %u (parallel speedup is bounded "
-                "by this)\n", hw);
-
-    // On a single-hardware-thread box a jobs4/seq ratio is just
-    // scheduling noise, not a speedup — emit null so downstream
-    // tooling cannot mistake it for a measurement.
-    char speedup_json[32];
-    if (hw > 1) {
-        std::snprintf(speedup_json, sizeof(speedup_json), "%.3f",
-                      fleet_j4 / fleet_seq);
-    } else {
-        std::snprintf(speedup_json, sizeof(speedup_json), "null");
-    }
-
     FILE *json = std::fopen("BENCH_kernel.json", "w");
     if (!json) {
         std::fprintf(stderr, "cannot write BENCH_kernel.json\n");
@@ -1603,12 +1542,6 @@ main(int argc, char **argv)
         "    \"speedup_vs_pre_pr\": %.3f,\n"
         "    \"allocs_per_bio_steady_state\": %.4f,\n"
         "    \"seed_replica_allocs_per_bio\": %.2f\n"
-        "  },\n"
-        "  \"fleet\": {\n"
-        "    \"hostdays_per_sec_seq\": %.2f,\n"
-        "    \"hostdays_per_sec_jobs4\": %.2f,\n"
-        "    \"parallel_speedup\": %s,\n"
-        "    \"hardware_threads\": %u\n"
         "  },\n"
         "  \"sweep\": {\n"
         "    \"lanes\": %zu,\n"
@@ -1650,7 +1583,7 @@ main(int argc, char **argv)
         ch.speedup, tel.current, tel.legacy, tel.speedup,
         bp.current, bp.legacy, bp.speedup, kPrePrBiosPerSec,
         bp.current / kPrePrBiosPerSec, cur_allocs, seed_allocs,
-        fleet_seq, fleet_j4, speedup_json, hw, kSweepSpecs.size(),
+        kSweepSpecs.size(),
         st.fullWall, st.sequentialWall, st.fullSpeedup,
         st.fusedWall, st.fusedSpeedup, st.fusedFraction,
         grid.size(), sg.fullWall, sg.sequentialWall, sg.fullSpeedup,

@@ -143,40 +143,24 @@ struct FleetScenario
      *  memory streaming; used by the iocost_mon replay). */
     bool telemetry = false;
 
-    // Per-host-day slice knobs (same meanings as FleetConfig).
+    /** Wall length of one host-day sample slice (`slice=`). */
     sim::Time slice = 2 * sim::kSec;
+    /** Time before the agents start (`warmup=`): long enough that
+     *  the main workload's write stream has drained the device's
+     *  burst buffer (the contended regime the agents really run
+     *  in). */
     sim::Time warmup = 2500 * sim::kMsec;
+    /** Package fetch: bytes the system service writes (`fetch=`),
+     *  and the scaled stand-in for its timeout
+     *  (`fetch_deadline=`). */
     uint64_t fetchBytes = 16ull << 20;
     sim::Time fetchDeadline = 1 * sim::kSec;
+    /** Cleanup: small metadata operations (`cleanup=`) of
+     *  `cleanup_io=` bytes, and the scaled stand-in for the 5s
+     *  stall threshold (`cleanup_deadline=`). */
     unsigned cleanupOps = 200;
     uint32_t cleanupIoBytes = 16 * 1024;
     sim::Time cleanupDeadline = 500 * sim::kMsec;
-
-    /**
-     * Host-day seed derivation. Mix uses a SplitMix64 finalizer
-     * over (seed, day, host) — collision-free at 100k+ hosts.
-     * Legacy reproduces the historical FleetConfig polynomial
-     * (seed*1000003 + day*10007 + host) so the fig18/19 replays
-     * stay byte-identical to previous releases.
-     */
-    enum class SeedMode : uint8_t
-    {
-        Mix,
-        Legacy
-    };
-    SeedMode seedMode = SeedMode::Mix;
-
-    /**
-     * Device assignment. Share draws a deterministic per-host
-     * sample against the mix shares; LegacyParity reproduces the
-     * historical host%2 oldgen/newgen split.
-     */
-    enum class DeviceAssign : uint8_t
-    {
-        Share,
-        LegacyParity
-    };
-    DeviceAssign deviceAssign = DeviceAssign::Share;
 
     /**
      * Test seam for the shard exception boundary: the slice at
@@ -208,15 +192,27 @@ struct FleetScenario
     /** Day the host migrates IOLatency -> IOCost (>= days: never). */
     unsigned migrationDay(unsigned host) const;
 
-    /** Index into devices for this host. */
+    /** Index into devices for this host: a per-host draw against
+     *  the mix shares. */
     unsigned deviceIndexFor(unsigned host) const;
 
     /** Workload shape for this host. */
     WorkloadKind workloadFor(unsigned host) const;
 
-    /** RNG seed for one host-day slice (see SeedMode). */
+    /** RNG seed for one host-day slice: a SplitMix64 finalizer
+     *  chain over (seed, day, host), collision-free at 100k+
+     *  hosts. */
     uint64_t hostDaySeed(unsigned day, unsigned host) const;
 };
+
+/**
+ * The fleet of the paper's migration figures (Figs. 18/19): an even
+ * old-gen/new-gen SSD split on the default hosts, days and derived
+ * migration window. hosts=, days= and seed= tokens after it set
+ * those values; the figures add seed=1818 and seed=1919.
+ */
+inline constexpr const char *kMigrationFleetSpec =
+    "devices=oldgen:50,newgen:50";
 
 } // namespace iocost::fleet
 

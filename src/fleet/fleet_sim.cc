@@ -1,8 +1,6 @@
 #include "fleet/fleet_sim.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -15,6 +13,7 @@
 #include "host/host.hh"
 #include "host/scenario_spec.hh"
 #include "profile/device_profiler.hh"
+#include "sim/parallel.hh"
 #include "sim/rng.hh"
 #include "workload/buffered_io.hh"
 #include "workload/fio_workload.hh"
@@ -122,9 +121,9 @@ struct CleanupAgent
 /**
  * Main-workload shape for one host. Every kind runs a read job and
  * a write job; the kind decides their arrival processes and depths.
- * The `knobs` draws vary intensity per host-day; the Mixed branch
- * must consume the stream exactly as the pre-sharding code did so
- * legacy replays stay byte-identical.
+ * The `knobs` draws vary intensity per host-day; changing how many
+ * draws a kind takes, or their order, changes every recorded
+ * result of that kind.
  */
 void
 shapeWorkloads(WorkloadKind kind, sim::Rng &knobs,
@@ -175,50 +174,6 @@ shapeWorkloads(WorkloadKind kind, sim::Rng &knobs,
 
 } // namespace
 
-FleetScenario
-scenarioFromConfig(const FleetConfig &cfg)
-{
-    FleetScenario sc;
-    sc.hosts = cfg.hosts;
-    sc.days = cfg.days;
-    sc.seed = cfg.seed;
-    sc.stages.clear();
-    sc.stages.push_back(MigrationStage{cfg.migrationStartDay,
-                                       cfg.migrationEndDay, 1.0});
-    sc.devices.clear();
-    sc.devices.push_back(
-        FleetScenario::DeviceShare{device::oldGenSsd(), 1.0});
-    sc.devices.push_back(
-        FleetScenario::DeviceShare{device::newGenSsd(), 1.0});
-    sc.workloads.clear();
-    sc.workloads.push_back(
-        FleetScenario::WorkloadShare{WorkloadKind::Mixed, 1.0});
-    sc.faults = cfg.faults;
-    sc.telemetry = cfg.telemetry;
-    sc.slice = cfg.slice;
-    sc.warmup = cfg.warmup;
-    sc.fetchBytes = cfg.fetchBytes;
-    sc.fetchDeadline = cfg.fetchDeadline;
-    sc.cleanupOps = cfg.cleanupOps;
-    sc.cleanupIoBytes = cfg.cleanupIoBytes;
-    sc.cleanupDeadline = cfg.cleanupDeadline;
-    // Byte-compat with the pre-scenario implementation: host%2
-    // device split and the historical polynomial slice seed.
-    sc.seedMode = FleetScenario::SeedMode::Legacy;
-    sc.deviceAssign = FleetScenario::DeviceAssign::LegacyParity;
-    return sc;
-}
-
-unsigned
-FleetSim::migrationDay(unsigned host, const FleetConfig &cfg)
-{
-    const unsigned span =
-        cfg.migrationEndDay - cfg.migrationStartDay;
-    if (span == 0 || cfg.hosts == 0)
-        return cfg.migrationStartDay;
-    return cfg.migrationStartDay + host * span / cfg.hosts;
-}
-
 HostDayOutcome
 FleetSim::runHostDay(const FleetScenario &sc,
                      const device::SsdSpec &spec,
@@ -228,9 +183,7 @@ FleetSim::runHostDay(const FleetScenario &sc,
     sim::Simulator sim(seed);
 
     // Accept a full spec line, not just a mechanism name, so sweep
-    // configs can carry settings ("iocost min=25 max=100"). A bare
-    // "iocost"/"iolatency" parses to the same config the historical
-    // string path produced, preserving byte-compatibility.
+    // configs can carry settings ("iocost min=25 max=100").
     std::optional<controllers::ControllerSpec> parsed =
         controllers::parseControllerSpec(controller);
     if (!parsed) {
@@ -363,28 +316,32 @@ FleetSim::runHostDay(const FleetScenario &sc,
     return out;
 }
 
-HostDayOutcome
-FleetSim::runHostDay(const std::string &controller, int host_kind,
-                     uint64_t seed, const FleetConfig &cfg)
-{
-    const device::SsdSpec spec =
-        host_kind == 0 ? device::oldGenSsd() : device::newGenSsd();
-    return runHostDay(scenarioFromConfig(cfg), spec,
-                      WorkloadKind::Mixed, controller, seed);
-}
+namespace {
 
-FleetAggregate
-FleetSim::runScenario(const FleetScenario &sc,
-                      const RunOptions &opts)
+/** The controller a slice runs and the summary slot it folds into. */
+struct SliceConfig
 {
-    return runScenario(sc, opts, nullptr);
-}
+    std::string spec;
+    bool iocost = false;
+};
 
-FleetAggregate
-FleetSim::runScenario(const FleetScenario &sc,
-                      const RunOptions &opts,
-                      std::vector<HostDayOutcome> *outcomes_out)
+/**
+ * The shard engine both entry points run through. Every (host, day)
+ * runs once per config column c, all columns on the host-day's one
+ * seed (the sweep's common random numbers): as before[c] until the
+ * host's migration day and as after[c] from it on. Shard s folds
+ * column c into accs[s * K + c]; shards merge in a fixed tree
+ * order, so every aggregate is byte-identical for any layout.
+ * @p outcomes_out, when set, needs a single column.
+ */
+std::vector<FleetAggregate>
+runShards(const FleetScenario &sc, const RunOptions &opts,
+          const std::vector<SliceConfig> &before,
+          const std::vector<SliceConfig> &after,
+          std::vector<HostDayOutcome> *outcomes_out)
 {
+    const size_t K = before.size();
+
     // Resolve the execution layout. None of it affects any
     // aggregated byte — only scheduling granularity.
     unsigned jobs = opts.jobs == 0
@@ -402,10 +359,15 @@ FleetSim::runScenario(const FleetScenario &sc,
     // not all serialize on its mutex for the first iocost slice.
     // Profiles are cached and deterministic, so this never changes
     // results.
-    bool any_migration = false;
+    bool migrates = false;
     for (const MigrationStage &st : sc.stages)
-        any_migration = any_migration || st.startDay < sc.days;
-    if (any_migration) {
+        migrates = migrates || st.startDay < sc.days;
+    bool reaches_iocost = false;
+    for (size_t c = 0; c < K; ++c) {
+        reaches_iocost = reaches_iocost || before[c].iocost ||
+                         (migrates && after[c].iocost);
+    }
+    if (reaches_iocost) {
         for (const FleetScenario::DeviceShare &d : sc.devices)
             profile::DeviceProfiler::profileSsd(d.spec);
     }
@@ -417,169 +379,24 @@ FleetSim::runScenario(const FleetScenario &sc,
     }
 
     // Per-shard arenas, constructed up front: the fold path inside
-    // the workers performs no heap allocation.
-    std::vector<ShardAccumulator> accs;
-    accs.reserve(shards);
-    for (unsigned s = 0; s < shards; ++s)
-        accs.emplace_back(sc.days);
-
-    // Shard s owns the contiguous host range [lo(s), lo(s+1)).
-    auto shard_lo = [&](unsigned s) {
-        return static_cast<unsigned>(
-            static_cast<uint64_t>(s) * sc.hosts / shards);
-    };
-
-    auto run_shard = [&](unsigned s) {
-        ShardAccumulator &acc = accs[s];
-        const unsigned lo = shard_lo(s);
-        const unsigned hi = shard_lo(s + 1);
-        for (unsigned h = lo; h < hi; ++h) {
-            const unsigned mig = sc.migrationDay(h);
-            const device::SsdSpec &spec =
-                sc.devices[sc.deviceIndexFor(h) %
-                           sc.devices.size()]
-                    .spec;
-            const WorkloadKind kind = sc.workloadFor(h);
-            for (unsigned day = 0; day < sc.days; ++day) {
-                if (day == sc.throwAtDay && h == sc.throwAtHost) {
-                    throw std::runtime_error(
-                        "fleet: injected slice failure at day " +
-                        std::to_string(day) + " host " +
-                        std::to_string(h));
-                }
-                const bool on_iocost = day >= mig;
-                HostDayOutcome out = runHostDay(
-                    sc, spec, kind,
-                    on_iocost ? "iocost" : "iolatency",
-                    sc.hostDaySeed(day, h));
-                acc.fold(day, on_iocost, out);
-                if (outcomes_out != nullptr) {
-                    (*outcomes_out)[static_cast<size_t>(day) *
-                                        sc.hosts +
-                                    h] = std::move(out);
-                }
-            }
-        }
-        acc.finalizeSeries();
-    };
-
-    // Workers steal whole shards from a shared counter. Exception
-    // boundary: a throwing slice poisons only its shard — the
-    // shard's first exception is captured, the worker moves on, and
-    // remaining shards still drain. After a clean join the
-    // exception from the lowest-indexed failed shard is rethrown,
-    // which is deterministic regardless of worker scheduling.
-    std::vector<std::exception_ptr> errors(shards);
-    std::atomic<unsigned> next{0};
-    auto worker = [&] {
-        for (;;) {
-            const unsigned s =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (s >= shards)
-                return;
-            try {
-                run_shard(s);
-            } catch (...) {
-                errors[s] = std::current_exception();
-            }
-        }
-    };
-
-    if (jobs <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(jobs - 1);
-        for (unsigned t = 0; t + 1 < jobs; ++t)
-            pool.emplace_back(worker);
-        worker();
-        for (auto &t : pool)
-            t.join();
-    }
-    for (unsigned s = 0; s < shards; ++s) {
-        if (errors[s])
-            std::rethrow_exception(errors[s]);
-    }
-
-    // Deterministic binary-tree merge by shard index. Every merged
-    // quantity is exact, so this yields bit-identical state no
-    // matter how the tree is shaped — the fixed shape just makes
-    // the reduction O(log shards) deep.
-    for (unsigned stride = 1; stride < shards; stride *= 2) {
-        for (unsigned i = 0; i + stride < shards; i += 2 * stride)
-            accs[i].mergeFrom(accs[i + stride]);
-    }
-    return accs[0].finish(sc.hosts, shards, jobs);
-}
-
-std::vector<FleetAggregate>
-FleetSim::runScenarioSweep(const FleetScenario &sc,
-                           const RunOptions &opts)
-{
-    const size_t K = sc.sweep.size();
-    if (K == 0) {
-        throw std::invalid_argument(
-            "fleet sweep: scenario has no sweep entries");
-    }
-    if (sc.telemetry) {
-        throw std::invalid_argument(
-            "fleet sweep: telemetry capture not supported");
-    }
-    // Validate every entry before any worker runs, and cache which
-    // mechanism each one is (decides the summary slot below).
-    std::vector<bool> is_iocost(K);
-    bool any_iocost = false;
-    for (size_t c = 0; c < K; ++c) {
-        std::optional<controllers::ControllerSpec> parsed =
-            controllers::parseControllerSpec(sc.sweep[c]);
-        if (!parsed) {
-            throw std::invalid_argument(
-                "fleet sweep: bad controller spec: " + sc.sweep[c]);
-        }
-        is_iocost[c] = parsed->name == "iocost";
-        any_iocost = any_iocost || is_iocost[c];
-    }
-
-    // Same layout resolution as runScenario; a host-day here is K
-    // slices, but shard granularity stays per-host.
-    unsigned jobs = opts.jobs == 0
-                        ? std::max(
-                              1u,
-                              std::thread::hardware_concurrency())
-                        : opts.jobs;
-    unsigned shards = opts.shards != 0 ? opts.shards : sc.shards;
-    if (shards == 0)
-        shards = jobs * 8;
-    shards = std::max(1u, std::min(shards, std::max(1u, sc.hosts)));
-    jobs = std::min(jobs, shards);
-
-    if (any_iocost) {
-        for (const FleetScenario::DeviceShare &d : sc.devices)
-            profile::DeviceProfiler::profileSsd(d.spec);
-    }
-
-    // Per-config accumulators fold side by side: shard s, config c
-    // lives at accs[s*K + c]. The arena block per shard is
-    // contiguous, so a worker's K folds for one host-day touch
-    // adjacent accumulators.
+    // the workers performs no heap allocation. A shard's K columns
+    // are adjacent, so one host-day's K folds touch neighbours.
     std::vector<ShardAccumulator> accs;
     accs.reserve(static_cast<size_t>(shards) * K);
     for (size_t i = 0; i < static_cast<size_t>(shards) * K; ++i)
         accs.emplace_back(sc.days);
 
-    auto shard_lo = [&](unsigned s) {
-        return static_cast<unsigned>(
-            static_cast<uint64_t>(s) * sc.hosts / shards);
+    // Shard s owns the contiguous host range [lo(s), lo(s+1)).
+    auto shard_lo = [&](size_t s) {
+        return static_cast<unsigned>(s * sc.hosts / shards);
     };
 
-    auto run_shard = [&](unsigned s) {
-        const unsigned lo = shard_lo(s);
-        const unsigned hi = shard_lo(s + 1);
-        for (unsigned h = lo; h < hi; ++h) {
+    sim::parallelFor(shards, jobs, [&](size_t s) {
+        ShardAccumulator *acc = &accs[s * K];
+        for (unsigned h = shard_lo(s); h < shard_lo(s + 1); ++h) {
+            const unsigned mig = sc.migrationDay(h);
             const device::SsdSpec &spec =
-                sc.devices[sc.deviceIndexFor(h) %
-                           sc.devices.size()]
-                    .spec;
+                sc.devices[sc.deviceIndexFor(h)].spec;
             const WorkloadKind kind = sc.workloadFor(h);
             for (unsigned day = 0; day < sc.days; ++day) {
                 if (day == sc.throwAtDay && h == sc.throwAtHost) {
@@ -588,61 +405,33 @@ FleetSim::runScenarioSweep(const FleetScenario &sc,
                         std::to_string(day) + " host " +
                         std::to_string(h));
                 }
-                // One seed for all K configs: the paired-run CRN.
                 const uint64_t seed = sc.hostDaySeed(day, h);
+                const std::vector<SliceConfig> &cfgs =
+                    day >= mig ? after : before;
                 for (size_t c = 0; c < K; ++c) {
-                    const HostDayOutcome out = runHostDay(
-                        sc, spec, kind, sc.sweep[c], seed);
-                    accs[static_cast<size_t>(s) * K + c].fold(
-                        day, is_iocost[c], out);
+                    HostDayOutcome out = FleetSim::runHostDay(
+                        sc, spec, kind, cfgs[c].spec, seed);
+                    acc[c].fold(day, cfgs[c].iocost, out);
+                    if (outcomes_out != nullptr) {
+                        (*outcomes_out)[static_cast<size_t>(day) *
+                                            sc.hosts +
+                                        h] = std::move(out);
+                    }
                 }
             }
         }
         for (size_t c = 0; c < K; ++c)
-            accs[static_cast<size_t>(s) * K + c].finalizeSeries();
-    };
+            acc[c].finalizeSeries();
+    });
 
-    // Same worker pool and exception discipline as runScenario.
-    std::vector<std::exception_ptr> errors(shards);
-    std::atomic<unsigned> next{0};
-    auto worker = [&] {
-        for (;;) {
-            const unsigned s =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (s >= shards)
-                return;
-            try {
-                run_shard(s);
-            } catch (...) {
-                errors[s] = std::current_exception();
-            }
-        }
-    };
-
-    if (jobs <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(jobs - 1);
-        for (unsigned t = 0; t + 1 < jobs; ++t)
-            pool.emplace_back(worker);
-        worker();
-        for (auto &t : pool)
-            t.join();
-    }
-    for (unsigned s = 0; s < shards; ++s) {
-        if (errors[s])
-            std::rethrow_exception(errors[s]);
-    }
-
-    // Per-config deterministic binary-tree merge over shards.
-    for (unsigned stride = 1; stride < shards; stride *= 2) {
-        for (unsigned i = 0; i + stride < shards; i += 2 * stride) {
-            for (size_t c = 0; c < K; ++c) {
-                accs[static_cast<size_t>(i) * K + c].mergeFrom(
-                    accs[(static_cast<size_t>(i) + stride) * K +
-                         c]);
-            }
+    // Deterministic binary-tree merge by shard index. Every merged
+    // quantity is exact, so this yields bit-identical state no
+    // matter how the tree is shaped — the fixed shape just makes
+    // the reduction O(log shards) deep.
+    for (size_t stride = 1; stride < shards; stride *= 2) {
+        for (size_t i = 0; i + stride < shards; i += 2 * stride) {
+            for (size_t c = 0; c < K; ++c)
+                accs[i * K + c].mergeFrom(accs[(i + stride) * K + c]);
         }
     }
     std::vector<FleetAggregate> out;
@@ -652,20 +441,51 @@ FleetSim::runScenarioSweep(const FleetScenario &sc,
     return out;
 }
 
-std::vector<FleetDayResult>
-FleetSim::run(const FleetConfig &cfg, unsigned jobs)
+} // namespace
+
+FleetAggregate
+FleetSim::runScenario(const FleetScenario &sc,
+                      const RunOptions &opts)
 {
-    return run(cfg, jobs, nullptr);
+    return runScenario(sc, opts, nullptr);
 }
 
-std::vector<FleetDayResult>
-FleetSim::run(const FleetConfig &cfg, unsigned jobs,
-              std::vector<HostDayOutcome> *outcomes_out)
+FleetAggregate
+FleetSim::runScenario(const FleetScenario &sc,
+                      const RunOptions &opts,
+                      std::vector<HostDayOutcome> *outcomes_out)
 {
-    RunOptions opts;
-    opts.jobs = jobs;
-    return runScenario(scenarioFromConfig(cfg), opts, outcomes_out)
-        .days;
+    return runShards(sc, opts, {{"iolatency", false}},
+                     {{"iocost", true}}, outcomes_out)[0];
+}
+
+std::vector<FleetAggregate>
+FleetSim::runScenarioSweep(const FleetScenario &sc,
+                           const RunOptions &opts)
+{
+    if (sc.sweep.empty()) {
+        throw std::invalid_argument(
+            "fleet sweep: scenario has no sweep entries");
+    }
+    if (sc.telemetry) {
+        throw std::invalid_argument(
+            "fleet sweep: telemetry capture not supported");
+    }
+    // Validate every entry before any worker runs, and record which
+    // mechanism each one is (decides its summary slot).
+    std::vector<SliceConfig> configs;
+    for (const std::string &entry : sc.sweep) {
+        const std::optional<controllers::ControllerSpec> parsed =
+            controllers::parseControllerSpec(entry);
+        if (!parsed) {
+            throw std::invalid_argument(
+                "fleet sweep: bad controller spec: " + entry);
+        }
+        configs.push_back({entry, parsed->name == "iocost"});
+    }
+    // Migration stages do not apply: each config runs fleet-wide
+    // on every day.
+    return runShards(sc, opts, configs, configs, nullptr);
 }
 
 } // namespace iocost::fleet

@@ -137,6 +137,11 @@ JobSpec::parse(const std::string &text, const std::string &what)
             reject(what, "unknown job key \"" + key + "\"");
         }
     }
+    // Only rate jobs ignore depth; any other job with nothing in
+    // flight would never issue an IO.
+    if (job.fio.iodepth == 0 &&
+        (job.buffered || job.fio.arrival != workload::Arrival::Rate))
+        reject(what + ": depth", "must be > 0 unless the job has a rate");
     return job;
 }
 

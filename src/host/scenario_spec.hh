@@ -31,7 +31,8 @@
  *
  *   JOB := NAME (":" key "=" value)*
  *     weight=1..10000     io.weight (default 100)
- *     depth=COUNT         IOs in flight (default 64)
+ *     depth=COUNT         IOs in flight (default 64); > 0 unless
+ *                         the job has a rate, which ignores it
  *     bs=COUNT            bytes per IO, > 0 (default 4096)
  *     rw=read|write|mixed read share 100%, 0% or 50% (default read)
  *     pattern=rand|seq    (default rand)

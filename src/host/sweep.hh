@@ -37,15 +37,12 @@
 #define IOCOST_HOST_SWEEP_HH
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -56,6 +53,7 @@
 #include "device/replay_device.hh"
 #include "host/fused_observer.hh"
 #include "host/host.hh"
+#include "sim/parallel.hh"
 #include "sim/simulator.hh"
 
 namespace iocost::host {
@@ -305,11 +303,12 @@ class SweepRunner
  * Partitioned multi-config execution.
  *
  * Splits @p base.specs into up to @p jobs contiguous groups, runs
- * each group on its own thread with its own Simulator(@p seed) and
- * SweepRunner, and returns one collect() result per config in spec
- * order. Because every group re-runs the identical generator stream
- * (same seed, same body, fixed pass-through generator), per-config
- * results are byte-identical regardless of jobs or config order.
+ * the groups in parallel (sim::parallelFor, one worker per group),
+ * each with its own Simulator(@p seed) and SweepRunner, and returns
+ * one collect() result per config in spec order. Because every
+ * group re-runs the identical generator stream (same seed, same
+ * body, fixed pass-through generator), per-config results are
+ * byte-identical regardless of jobs or config order.
  *
  * @param body   body(sim, runner): build cgroups/workloads against
  *               the runner and run the simulator. Must behave
@@ -334,53 +333,30 @@ runSweep(const SweepOptions &base, uint64_t seed, unsigned jobs,
         std::min<size_t>(jobs == 0 ? 1 : jobs, total);
 
     std::vector<std::optional<Result>> slots(total);
-    std::vector<std::exception_ptr> errors(groups);
-
-    auto run_group = [&](size_t g) {
-        try {
-            const size_t lo = total * g / groups;
-            const size_t hi = total * (g + 1) / groups;
-            SweepOptions opts = base;
-            opts.specs.assign(base.specs.begin() +
-                                  static_cast<std::ptrdiff_t>(lo),
-                              base.specs.begin() +
-                                  static_cast<std::ptrdiff_t>(hi));
-            if (!base.laneSinks.empty()) {
-                opts.laneSinks.assign(
-                    base.laneSinks.begin() +
-                        static_cast<std::ptrdiff_t>(lo),
-                    base.laneSinks.begin() +
-                        static_cast<std::ptrdiff_t>(hi));
-            }
-            // Singleton groups of a multi-config sweep keep shadow
-            // semantics: partitioning must not change results.
-            opts.forceShadow = base.forceShadow || total > 1;
-            sim::Simulator sim(seed);
-            SweepRunner runner(sim, std::move(opts));
-            body(sim, runner);
-            for (size_t k = 0; k < hi - lo; ++k)
-                slots[lo + k].emplace(collect(runner, k, lo + k));
-        } catch (...) {
-            errors[g] = std::current_exception();
+    sim::parallelFor(groups, static_cast<unsigned>(groups),
+                     [&](size_t g) {
+        const size_t lo = total * g / groups;
+        const size_t hi = total * (g + 1) / groups;
+        SweepOptions opts = base;
+        opts.specs.assign(
+            base.specs.begin() + static_cast<std::ptrdiff_t>(lo),
+            base.specs.begin() + static_cast<std::ptrdiff_t>(hi));
+        if (!base.laneSinks.empty()) {
+            opts.laneSinks.assign(
+                base.laneSinks.begin() +
+                    static_cast<std::ptrdiff_t>(lo),
+                base.laneSinks.begin() +
+                    static_cast<std::ptrdiff_t>(hi));
         }
-    };
-
-    if (groups == 1) {
-        run_group(0);
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(groups);
-        for (size_t g = 0; g < groups; ++g)
-            pool.emplace_back(run_group, g);
-        for (std::thread &t : pool)
-            t.join();
-    }
-    // Deterministic error reporting: lowest group index wins (same
-    // discipline as the fleet's shard pool).
-    for (size_t g = 0; g < groups; ++g) {
-        if (errors[g])
-            std::rethrow_exception(errors[g]);
-    }
+        // Singleton groups of a multi-config sweep keep shadow
+        // semantics: partitioning must not change results.
+        opts.forceShadow = base.forceShadow || total > 1;
+        sim::Simulator sim(seed);
+        SweepRunner runner(sim, std::move(opts));
+        body(sim, runner);
+        for (size_t k = 0; k < hi - lo; ++k)
+            slots[lo + k].emplace(collect(runner, k, lo + k));
+    });
 
     std::vector<Result> out;
     out.reserve(total);
@@ -400,14 +376,13 @@ runSweep(const SweepOptions &base, uint64_t seed, unsigned jobs,
  * with the *same seeds* so config deltas cancel the workload noise —
  * but each config needs its own full run.
  *
- * runPaired runs run(config) for each config index on a pool of up
- * to @p jobs threads (atomic-counter work stealing) and returns the
- * results in config order. @p run must derive all randomness from
+ * runPaired runs run(config) for each config index on up to @p jobs
+ * threads (sim::parallelFor) and returns the results in config
+ * order. @p run must derive all randomness from
  * the config-independent seeds it closes over (that is what makes
  * the runs "paired") and must be safe to call concurrently.
- * Exceptions are captured per config and the lowest config index is
- * rethrown after the pool drains, so failures are deterministic
- * regardless of jobs.
+ * The lowest failing config's exception is rethrown after every
+ * config ran, so failures are deterministic regardless of jobs.
  */
 template <typename Run>
 auto
@@ -417,41 +392,10 @@ runPaired(size_t configs, unsigned jobs, Run run)
     using Result = std::invoke_result_t<Run &, size_t>;
     if (configs == 0)
         return {};
-    const size_t workers = std::min<size_t>(
-        jobs == 0 ? 1 : jobs, configs);
-
     std::vector<std::optional<Result>> slots(configs);
-    std::vector<std::exception_ptr> errors(configs);
-    std::atomic<size_t> next{0};
-
-    auto worker = [&] {
-        for (;;) {
-            const size_t c =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (c >= configs)
-                return;
-            try {
-                slots[c].emplace(run(c));
-            } catch (...) {
-                errors[c] = std::current_exception();
-            }
-        }
-    };
-
-    if (workers == 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (size_t w = 0; w < workers; ++w)
-            pool.emplace_back(worker);
-        for (std::thread &t : pool)
-            t.join();
-    }
-    for (size_t c = 0; c < configs; ++c) {
-        if (errors[c])
-            std::rethrow_exception(errors[c]);
-    }
+    // jobs == 0 runs sequentially, as parallelFor reads it.
+    sim::parallelFor(configs, jobs,
+                     [&](size_t c) { slots[c].emplace(run(c)); });
 
     std::vector<Result> out;
     out.reserve(configs);

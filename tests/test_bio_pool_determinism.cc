@@ -127,22 +127,16 @@ fig9Fingerprint()
     return fp;
 }
 
-/** Small-but-contended fleet config (mirrors the Fig. 18 bench). */
-fleet::FleetConfig
+/** Small-but-contended fleet (the Fig. 18 bench's fleet and seed). */
+fleet::FleetScenario
 tinyFleet()
 {
-    fleet::FleetConfig cfg;
-    cfg.hosts = 6;
-    cfg.days = 5;
-    cfg.migrationStartDay = 1;
-    cfg.migrationEndDay = 4;
-    cfg.warmup = 300 * sim::kMsec;
-    cfg.slice = 250 * sim::kMsec;
-    cfg.fetchBytes = 2ull << 20;
-    cfg.cleanupOps = 40;
-    cfg.seed = 1818;
-    cfg.telemetry = true;
-    return cfg;
+    fleet::FleetScenario sc = fleet::FleetScenario::parse(
+        std::string(fleet::kMigrationFleetSpec) +
+        " hosts=6 days=5 migration=1..4 warmup=300ms slice=250ms "
+        "fetch=2M cleanup=40 seed=1818");
+    sc.telemetry = true;
+    return sc;
 }
 
 /**
@@ -152,9 +146,11 @@ tinyFleet()
 std::string
 fig18Fingerprint(unsigned jobs)
 {
-    const fleet::FleetConfig cfg = tinyFleet();
+    fleet::RunOptions opts;
+    opts.jobs = jobs;
     std::vector<fleet::HostDayOutcome> outcomes;
-    const auto days = fleet::FleetSim::run(cfg, jobs, &outcomes);
+    const auto days =
+        fleet::FleetSim::runScenario(tinyFleet(), opts, &outcomes).days;
 
     std::string fp;
     for (const fleet::FleetDayResult &d : days) {

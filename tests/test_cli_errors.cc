@@ -67,6 +67,9 @@ TEST(CliErrors, SimRejectsBadNumbers)
     expectRejected(sim, "--pagecache 1e30G", "--pagecache");
     expectRejected(sim, "--job web:weight=x", "--job: weight");
     expectRejected(sim, "--job web:depth=", "--job: depth");
+    expectRejected(sim, "--seconds 0.1 --job a:depth=0 "
+                        "--job b:weight=100",
+                   "--job: depth");
     expectRejected(sim, "--job web:rate=inf", "--job: rate");
     expectRejected(sim, "--job web:span=12Q", "--job: span");
     expectRejected(sim, "--fleet --hosts many", "--hosts");

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "fleet/fleet_scenario.hh"
-#include "fleet/fleet_sim.hh"
 
 namespace {
 
@@ -130,41 +129,35 @@ TEST(FleetScenario, RejectsMalformedSpecs)
                  std::invalid_argument);
 }
 
-TEST(FleetScenario, LegacyConfigMappingMatchesFleetSim)
+TEST(FleetScenario, FigSpecKeepsDefaultMigrationWindow)
 {
-    FleetConfig cfg;
-    cfg.hosts = 61; // non-dividing: exercises the stagger rounding
-    cfg.days = 24;
-    cfg.migrationStartDay = 6;
-    cfg.migrationEndDay = 18;
-    cfg.seed = 1818;
-    const FleetScenario sc = scenarioFromConfig(cfg);
-
+    // The migration figures' fleet: two device classes, the 6..18
+    // window derived from the default 24 days, hosts staggered
+    // across it in index order.
+    const FleetScenario sc = FleetScenario::parse(
+        std::string(kMigrationFleetSpec) + " hosts=61 seed=1818");
     ASSERT_EQ(sc.devices.size(), 2u);
-    EXPECT_EQ(sc.seedMode, FleetScenario::SeedMode::Legacy);
-    for (unsigned h = 0; h < cfg.hosts; ++h) {
-        EXPECT_EQ(sc.migrationDay(h),
-                  FleetSim::migrationDay(h, cfg));
-        // host%2 oldgen/newgen parity.
-        EXPECT_EQ(sc.deviceIndexFor(h), h % 2);
-    }
-    for (unsigned day = 0; day < cfg.days; day += 5) {
-        for (unsigned h = 0; h < cfg.hosts; h += 7) {
-            EXPECT_EQ(sc.hostDaySeed(day, h),
-                      cfg.seed * 1000003ull + day * 10007ull + h);
-        }
+    ASSERT_EQ(sc.stages.size(), 1u);
+    EXPECT_EQ(sc.stages[0].startDay, 6u);
+    EXPECT_EQ(sc.stages[0].endDay, 18u);
+    for (unsigned h = 0; h < sc.hosts; ++h) {
+        // 61 hosts do not divide the window: exercises rounding.
+        EXPECT_EQ(sc.migrationDay(h), 6 + h * 12 / 61);
+        EXPECT_LT(sc.deviceIndexFor(h), 2u);
     }
 }
 
 TEST(FleetScenario, MixSeedsCollisionFreeWhereLegacyCollides)
 {
-    FleetScenario sc = FleetScenario::parse("hosts=30000 days=4");
-    // The legacy polynomial aliases (day, host) pairs once
+    const FleetScenario sc = FleetScenario::parse("hosts=30000 days=4");
+    // An additive seed polynomial aliases (day, host) pairs once
     // host > 10007: (0, 10007) == (1, 0).
-    sc.seedMode = FleetScenario::SeedMode::Legacy;
-    EXPECT_EQ(sc.hostDaySeed(0, 10007), sc.hostDaySeed(1, 0));
+    auto poly = [&](uint64_t day, uint64_t host) {
+        return sc.seed * 1000003ull + day * 10007ull + host;
+    };
+    EXPECT_EQ(poly(0, 10007), poly(1, 0));
+    EXPECT_NE(sc.hostDaySeed(0, 10007), sc.hostDaySeed(1, 0));
 
-    sc.seedMode = FleetScenario::SeedMode::Mix;
     std::set<uint64_t> seen;
     for (unsigned day = 0; day < sc.days; ++day) {
         for (unsigned h = 0; h < sc.hosts; h += 3)

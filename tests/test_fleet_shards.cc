@@ -1,7 +1,7 @@
 /**
  * @file
  * Sharded fleet engine: byte-identical streaming aggregates for any
- * (jobs, shards) layout — including the legacy fig18/19 configs —
+ * (jobs, shards) layout — including fig18/19-shaped scenarios —
  * plus the per-shard exception boundary and the outcome-grid
  * consistency of the replay path.
  */
@@ -139,30 +139,24 @@ TEST(FleetShards, MomentsBitIdenticalAcrossLayouts)
     }
 }
 
-TEST(FleetShards, LegacyFigConfigsByteIdenticalAcrossLayouts)
+TEST(FleetShards, FigConfigsByteIdenticalAcrossLayouts)
 {
-    // Scaled-down fig18/fig19 shapes (their seeds, their staged
-    // window) through the legacy mapping: scenarioFromConfig keeps
-    // the historical seeds and host parity, so these cover the
-    // byte-compat path the real fig benches ride.
-    for (const uint64_t seed : {1818ull, 1919ull}) {
-        FleetConfig cfg;
-        cfg.hosts = 6;
-        cfg.days = 5;
-        cfg.migrationStartDay = 1;
-        cfg.migrationEndDay = 4;
-        cfg.warmup = 50 * sim::kMsec;
-        cfg.slice = 50 * sim::kMsec;
-        cfg.fetchBytes = 1ull << 20;
-        cfg.cleanupOps = 20;
-        cfg.seed = seed;
-        const FleetScenario sc = scenarioFromConfig(cfg);
+    // Scaled-down fig18/fig19 scenarios (their fleet, their seeds, a
+    // staged window), the shape the real fig benches run.
+    for (const char *seed : {"1818", "1919"}) {
+        const FleetScenario sc = FleetScenario::parse(
+            std::string(kMigrationFleetSpec) +
+            " hosts=6 days=5 migration=1..4 warmup=50ms slice=50ms "
+            "fetch=1M cleanup=20 seed=" + seed);
         const std::string ref = aggPayload(runWith(sc, 1, 1));
         EXPECT_EQ(aggPayload(runWith(sc, 4, 6)), ref);
         EXPECT_EQ(aggPayload(runWith(sc, 2, 5)), ref);
 
-        // And the wrapper's day results equal the engine's.
-        const auto days = FleetSim::run(cfg, 3);
+        // The outcome-capturing overload folds the same days.
+        RunOptions opts;
+        opts.jobs = 3;
+        std::vector<HostDayOutcome> grid;
+        const auto days = FleetSim::runScenario(sc, opts, &grid).days;
         const FleetAggregate agg = runWith(sc, 1, 2);
         ASSERT_EQ(days.size(), agg.days.size());
         for (size_t i = 0; i < days.size(); ++i) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "device/device_profiles.hh"
 #include "device/ssd_model.hh"
@@ -81,25 +82,30 @@ TEST(Host, MemoryManagerOptional)
 
 TEST(FleetSim, MigrationDayStaggersAcrossWindow)
 {
-    fleet::FleetConfig cfg;
-    cfg.hosts = 10;
-    cfg.migrationStartDay = 4;
-    cfg.migrationEndDay = 14;
-    EXPECT_EQ(fleet::FleetSim::migrationDay(0, cfg), 4u);
-    EXPECT_EQ(fleet::FleetSim::migrationDay(9, cfg), 13u);
-    for (unsigned h = 1; h < 10; ++h) {
-        EXPECT_GE(fleet::FleetSim::migrationDay(h, cfg),
-                  fleet::FleetSim::migrationDay(h - 1, cfg));
-    }
+    const fleet::FleetScenario sc =
+        fleet::FleetScenario::parse("hosts=10 days=18 migration=4..14");
+    EXPECT_EQ(sc.migrationDay(0), 4u);
+    EXPECT_EQ(sc.migrationDay(9), 13u);
+    for (unsigned h = 1; h < 10; ++h)
+        EXPECT_GE(sc.migrationDay(h), sc.migrationDay(h - 1));
+}
+
+/** Host-days of the migration figures' fleet on @p kind's SSD
+ *  (0 = old-gen, 1 = new-gen). */
+fleet::HostDayOutcome
+hostDay(const std::string &controller, int kind, uint64_t seed)
+{
+    static const fleet::FleetScenario sc =
+        fleet::FleetScenario::parse(fleet::kMigrationFleetSpec);
+    return fleet::FleetSim::runHostDay(
+        sc, kind == 0 ? device::oldGenSsd() : device::newGenSsd(),
+        fleet::WorkloadKind::Mixed, controller, seed);
 }
 
 TEST(FleetSim, HostDayIsDeterministic)
 {
-    fleet::FleetConfig cfg;
-    const auto a =
-        fleet::FleetSim::runHostDay("iocost", 0, 999, cfg);
-    const auto b =
-        fleet::FleetSim::runHostDay("iocost", 0, 999, cfg);
+    const auto a = hostDay("iocost", 0, 999);
+    const auto b = hostDay("iocost", 0, 999);
     EXPECT_EQ(a.fetchTime, b.fetchTime);
     EXPECT_EQ(a.cleanupTime, b.cleanupTime);
 }
@@ -108,17 +114,15 @@ TEST(FleetSim, IoCostProtectsAgentsBetterThanIoLatency)
 {
     // Aggregate over a handful of host-days: iocost's cleanup times
     // must be far better; fetch times must meet the deadline.
-    fleet::FleetConfig cfg;
+    const double slice_s = sim::toSeconds(fleet::FleetScenario{}.slice);
     double iolat_cleanup = 0, iocost_cleanup = 0;
     int iocost_fetch_fail = 0;
     const int n = 6;
     for (int i = 0; i < n; ++i) {
-        const auto a = fleet::FleetSim::runHostDay(
-            "iolatency", i % 2, 13 + i * 71, cfg);
-        const auto b = fleet::FleetSim::runHostDay(
-            "iocost", i % 2, 13 + i * 71, cfg);
+        const auto a = hostDay("iolatency", i % 2, 13 + i * 71);
+        const auto b = hostDay("iocost", i % 2, 13 + i * 71);
         iolat_cleanup += a.cleanupTime == sim::kTimeNever
-                             ? sim::toSeconds(cfg.slice)
+                             ? slice_s
                              : sim::toSeconds(a.cleanupTime);
         iocost_cleanup += sim::toSeconds(b.cleanupTime);
         iocost_fetch_fail += b.fetchFailed ? 1 : 0;

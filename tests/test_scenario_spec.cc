@@ -276,6 +276,8 @@ TEST(JobGrammar, RejectsUndocumentedValues)
              "a:weight=-1",
              "a:weight=1.5",
              "a:depth=32abc",
+             "a:depth=0",
+             "a:depth=0:buffered=1",
              "a:bs=0",
              "a:bs=4294967296",
              "a:rate=0",
@@ -290,6 +292,16 @@ TEST(JobGrammar, RejectsUndocumentedValues)
         EXPECT_THROW(host::JobSpec::parse(text), std::invalid_argument)
             << text;
     }
+}
+
+/** depth=0 is rejected for closed-loop jobs (above) but a rate job
+ *  ignores depth, so it takes 0 in either key order. */
+TEST(JobGrammar, DepthZeroOnlyForRateJobs)
+{
+    EXPECT_EQ(host::JobSpec::parse("a:depth=0:rate=100").fio.iodepth,
+              0u);
+    EXPECT_EQ(host::JobSpec::parse("a:rate=100:depth=0").fio.iodepth,
+              0u);
 }
 
 TEST(JobGrammar, ErrorsNameTheValue)

@@ -244,16 +244,17 @@ TEST(IocostTelemetry, DetailGatesPerCompletionRecords)
 
 /** Serialize one fleet outcome grid as prefixed JSONL. */
 std::string
-fleetJsonl(const fleet::FleetConfig &cfg, unsigned jobs)
+fleetJsonl(const fleet::FleetScenario &sc, unsigned jobs)
 {
     std::vector<fleet::HostDayOutcome> outcomes;
-    fleet::FleetSim::run(cfg, jobs, &outcomes);
+    fleet::RunOptions opts;
+    opts.jobs = jobs;
+    fleet::FleetSim::runScenario(sc, opts, &outcomes);
     std::string out;
-    for (unsigned day = 0; day < cfg.days; ++day) {
-        for (unsigned h = 0; h < cfg.hosts; ++h) {
+    for (unsigned day = 0; day < sc.days; ++day) {
+        for (unsigned h = 0; h < sc.hosts; ++h) {
             const auto &o =
-                outcomes[static_cast<uint64_t>(day) * cfg.hosts +
-                         h];
+                outcomes[static_cast<uint64_t>(day) * sc.hosts + h];
             for (const auto &r : o.records) {
                 out += "{\"day\":" + std::to_string(day) +
                        ",\"host\":" + std::to_string(h) + "," +
@@ -266,19 +267,14 @@ fleetJsonl(const fleet::FleetConfig &cfg, unsigned jobs)
 
 TEST(FleetTelemetry, JsonlByteIdenticalAcrossWorkerCounts)
 {
-    fleet::FleetConfig cfg;
-    cfg.hosts = 4;
-    cfg.days = 3;
-    cfg.migrationStartDay = 1;
-    cfg.migrationEndDay = 2;
-    cfg.warmup = 300 * sim::kMsec;
-    cfg.slice = 250 * sim::kMsec;
-    cfg.fetchBytes = 2ull << 20;
-    cfg.cleanupOps = 40;
-    cfg.telemetry = true;
+    fleet::FleetScenario sc = fleet::FleetScenario::parse(
+        std::string(fleet::kMigrationFleetSpec) +
+        " hosts=4 days=3 migration=1..2 warmup=300ms slice=250ms "
+        "fetch=2M cleanup=40");
+    sc.telemetry = true;
 
-    const std::string seq = fleetJsonl(cfg, 1);
-    const std::string par = fleetJsonl(cfg, 4);
+    const std::string seq = fleetJsonl(sc, 1);
+    const std::string par = fleetJsonl(sc, 4);
     EXPECT_FALSE(seq.empty());
     EXPECT_EQ(seq, par);
     // Both controller generations appear across the migration.
@@ -288,16 +284,13 @@ TEST(FleetTelemetry, JsonlByteIdenticalAcrossWorkerCounts)
 
 TEST(FleetTelemetry, OffByDefaultCapturesNothing)
 {
-    fleet::FleetConfig cfg;
-    cfg.hosts = 1;
-    cfg.days = 1;
-    cfg.warmup = 100 * sim::kMsec;
-    cfg.slice = 100 * sim::kMsec;
-    cfg.fetchBytes = 1 << 20;
-    cfg.cleanupOps = 10;
+    const fleet::FleetScenario sc = fleet::FleetScenario::parse(
+        std::string(fleet::kMigrationFleetSpec) +
+        " hosts=1 days=1 warmup=100ms slice=100ms fetch=1M "
+        "cleanup=10");
 
     std::vector<fleet::HostDayOutcome> outcomes;
-    fleet::FleetSim::run(cfg, 1, &outcomes);
+    fleet::FleetSim::runScenario(sc, {}, &outcomes);
     ASSERT_EQ(outcomes.size(), 1u);
     EXPECT_TRUE(outcomes[0].records.empty());
 }

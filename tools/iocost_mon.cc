@@ -34,6 +34,9 @@
  *   iocost_mon --fleet --scenario fig18|fig19
  *              [--hosts N] [--days N] [--jobs N] [--shards N]
  *              [--out FILE]
+ * The presets run the Fig. 18/19 fleet (fleet::kMigrationFleetSpec)
+ * at its figure seed, 12 hosts x 8 days unless --hosts/--days say
+ * otherwise; the migration window follows the day count.
  *
  * A full FleetScenario spec (fleet/fleet_scenario.hh grammar,
  * inline or @file) runs the sharded streaming engine instead and
@@ -633,8 +636,8 @@ runFleetIn(const std::string &in_path)
 }
 
 int
-runFleet(const std::string &scenario, fleet::FleetConfig cfg,
-         unsigned jobs, unsigned shards,
+runFleet(const std::string &scenario, const std::string &size,
+         const std::string &faults, unsigned jobs, unsigned shards,
          const std::string &out_path)
 {
     // A spec-form scenario (inline or @file) runs the streaming
@@ -649,8 +652,8 @@ runFleet(const std::string &scenario, fleet::FleetConfig cfg,
         fleet::FleetScenario sc = orFatal([&] {
             return fleet::FleetScenario::parse(cli::specText(scenario));
         });
-        if (!cfg.faults.empty())
-            sc.faults = cfg.faults;
+        if (!faults.empty())
+            sc.faults = faults;
         fleet::RunOptions run_opts;
         run_opts.jobs = jobs;
         run_opts.shards = shards;
@@ -691,26 +694,33 @@ runFleet(const std::string &scenario, fleet::FleetConfig cfg,
         return 0;
     }
 
-    if (scenario == "fig18") {
-        cfg.seed = 1818;
-    } else if (scenario == "fig19") {
-        cfg.seed = 1919;
-    }
-    cfg.telemetry = true;
+    // Replay default: a slice of the migration figures' fleet large
+    // enough to cover both host generations and the full migration
+    // window without generating hundreds of megabytes of JSONL.
+    // --hosts/--days resize it; the window follows the day count.
+    std::string text =
+        std::string(fleet::kMigrationFleetSpec) + " hosts=12 days=8";
+    if (scenario == "fig18")
+        text += " seed=1818";
+    else if (scenario == "fig19")
+        text += " seed=1919";
+    fleet::FleetScenario sc = orFatal(
+        [&] { return fleet::FleetScenario::parse(text + size); });
+    sc.faults = faults;
+    sc.telemetry = true;
 
     std::printf("fleet replay: scenario=%s hosts=%u days=%u "
                 "jobs=%u seed=%llu\n",
                 scenario.empty() ? "custom" : scenario.c_str(),
-                cfg.hosts, cfg.days, jobs,
-                static_cast<unsigned long long>(cfg.seed));
+                sc.hosts, sc.days, jobs,
+                static_cast<unsigned long long>(sc.seed));
 
     std::vector<fleet::HostDayOutcome> outcomes;
     fleet::RunOptions run_opts;
     run_opts.jobs = jobs;
     run_opts.shards = shards;
-    const fleet::FleetAggregate agg = fleet::FleetSim::runScenario(
-        fleet::scenarioFromConfig(cfg), run_opts, &outcomes);
-    const auto &days = agg.days;
+    const fleet::FleetAggregate agg =
+        fleet::FleetSim::runScenario(sc, run_opts, &outcomes);
 
     FILE *out = stdout;
     if (!out_path.empty())
@@ -721,11 +731,10 @@ runFleet(const std::string &scenario, fleet::FleetConfig cfg,
     // the grid itself is (day, host)-indexed, so the byte stream
     // is independent of the worker count.
     uint64_t written = 0;
-    for (unsigned day = 0; day < cfg.days; ++day) {
-        for (unsigned h = 0; h < cfg.hosts; ++h) {
+    for (unsigned day = 0; day < sc.days; ++day) {
+        for (unsigned h = 0; h < sc.hosts; ++h) {
             const auto &o =
-                outcomes[static_cast<uint64_t>(day) * cfg.hosts +
-                         h];
+                outcomes[static_cast<uint64_t>(day) * sc.hosts + h];
             for (const stat::Record &r : o.records) {
                 std::fprintf(out, "{\"day\":%u,\"host\":%u,%s}\n",
                              day, h,
@@ -743,7 +752,7 @@ runFleet(const std::string &scenario, fleet::FleetConfig cfg,
 
     std::printf("%5s %10s %10s %10s\n", "day", "on-iocost",
                 "fetchfail", "cleanfail");
-    for (const auto &d : days) {
+    for (const auto &d : agg.days) {
         std::printf("%5u %9.0f%% %10u %10u\n", d.day,
                     100.0 * d.fractionOnIoCost, d.fetchFailures,
                     d.cleanupFailures);
@@ -762,14 +771,7 @@ main(int argc, char **argv)
     unsigned every = 0;
     bool detail = false;
     bool fleet_mode = false;
-    fleet::FleetConfig fleet_cfg;
-    // Replay default: a slice of the fleet large enough to cover
-    // both host generations and the full migration window without
-    // generating hundreds of megabytes of JSONL.
-    fleet_cfg.hosts = 12;
-    fleet_cfg.days = 8;
-    fleet_cfg.migrationStartDay = 2;
-    fleet_cfg.migrationEndDay = 6;
+    std::string fleet_size; // " hosts=N days=N" from the flags
     unsigned fleet_jobs = 1;
     unsigned fleet_shards = 0;
     std::string in_path;
@@ -799,9 +801,9 @@ main(int argc, char **argv)
         } else if (arg == "--scenario") {
             scenario = next();
         } else if (arg == "--hosts") {
-            fleet_cfg.hosts = count();
+            fleet_size += " hosts=" + std::to_string(count());
         } else if (arg == "--days") {
-            fleet_cfg.days = count();
+            fleet_size += " days=" + std::to_string(count());
         } else if (arg == "--jobs") {
             fleet_jobs = count();
         } else if (arg == "--shards") {
@@ -823,8 +825,7 @@ main(int argc, char **argv)
         return runFleetIn(in_path);
     }
     if (fleet_mode) {
-        fleet_cfg.faults = spec.faults;
-        return runFleet(scenario, fleet_cfg, fleet_jobs,
+        return runFleet(scenario, fleet_size, spec.faults, fleet_jobs,
                         fleet_shards, out_path);
     }
     orFatal([&] { spec.normalize(); });

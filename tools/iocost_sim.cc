@@ -40,6 +40,9 @@
  * byte-identical for any --jobs/--shards value):
  *   iocost_sim --fleet [--hosts N] [--days N] [--jobs N] [--seed N]
  *              [--shards N]
+ *                 without --scenario: the Fig. 18/19 fleet
+ *                 (fleet::kMigrationFleetSpec) with these hosts,
+ *                 days and seed; the migration window follows days
  *              [--scenario "<FleetScenario spec>"|@scenario.txt]
  *                 full scenario grammar (device/workload mixes,
  *                 staged migration) — see fleet/fleet_scenario.hh;
@@ -211,7 +214,7 @@ main(int argc, char **argv)
     std::string sweep_arg;
     std::string whatif_arg;
     bool fleet_mode = false;
-    fleet::FleetConfig fleet_cfg;
+    std::string fleet_size; // " hosts=N days=N" from the flags
     unsigned fleet_jobs = 1;
     unsigned fleet_shards = 0;
     std::string scenario_arg, out_path;
@@ -236,9 +239,9 @@ main(int argc, char **argv)
         } else if (arg == "--fleet") {
             fleet_mode = true;
         } else if (arg == "--hosts") {
-            fleet_cfg.hosts = count();
+            fleet_size += " hosts=" + std::to_string(count());
         } else if (arg == "--days") {
-            fleet_cfg.days = count();
+            fleet_size += " days=" + std::to_string(count());
         } else if (arg == "--jobs") {
             fleet_jobs = count();
         } else if (arg == "--shards") {
@@ -255,19 +258,18 @@ main(int argc, char **argv)
         }
     }
     if (fleet_mode) {
-        fleet::FleetScenario sc;
-        if (!scenario_arg.empty()) {
-            sc = orFatal([&] {
-                return fleet::FleetScenario::parse(
-                    cli::specText(scenario_arg));
-            });
-            if (!spec.faults.empty())
-                sc.faults = spec.faults;
-        } else {
-            fleet_cfg.seed = spec.seed;
-            fleet_cfg.faults = spec.faults;
-            sc = fleet::scenarioFromConfig(fleet_cfg);
-        }
+        // Without --scenario the flags size the migration figures'
+        // fleet; parsing them as one spec derives the migration
+        // window from the day count.
+        const std::string text =
+            scenario_arg.empty()
+                ? fleet::kMigrationFleetSpec + fleet_size +
+                      " seed=" + std::to_string(spec.seed)
+                : cli::specText(scenario_arg);
+        fleet::FleetScenario sc = orFatal(
+            [&] { return fleet::FleetScenario::parse(text); });
+        if (!spec.faults.empty())
+            sc.faults = spec.faults;
         fleet::RunOptions run_opts;
         run_opts.jobs = fleet_jobs;
         run_opts.shards = fleet_shards;
